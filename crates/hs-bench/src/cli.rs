@@ -386,6 +386,23 @@ fn artifact_path(json: &Path, name: &str, selected: usize) -> PathBuf {
     }
 }
 
+/// The harness configuration for the given `HS_TIME_SCALE` and
+/// `HS_SUBSET` values (`None` = unset), both checked before anything runs.
+///
+/// # Errors
+///
+/// A usage [`Failure`] (exit code 2) naming the variable and its valid
+/// values when either value is invalid.
+fn environment(
+    time_scale: Option<&str>,
+    subset: Option<&str>,
+) -> Result<hs_sim::SimConfig, Failure> {
+    let usage = |message| Failure { message, code: 2 };
+    let scale = crate::parse_time_scale(time_scale).map_err(usage)?;
+    crate::parse_subset(subset).map_err(usage)?;
+    Ok(hs_sim::SimConfig::scaled(scale))
+}
+
 /// Runs the CLI against `args` (without the program name).
 ///
 /// # Errors
@@ -406,7 +423,10 @@ pub fn run(args: impl IntoIterator<Item = String>) -> Result<(), Failure> {
         return Ok(());
     }
 
-    let mut cfg = crate::config();
+    let mut cfg = environment(
+        crate::env("HS_TIME_SCALE").as_deref(),
+        crate::env("HS_SUBSET").as_deref(),
+    )?;
     if let Some(mode) = opts.mode {
         cfg.exec = mode;
     }
@@ -444,8 +464,9 @@ pub fn run(args: impl IntoIterator<Item = String>) -> Result<(), Failure> {
             }
         };
         eprintln!(
-            "      {} runs in {:.1}s",
+            "      {} runs ({} warm-ups) in {:.1}s",
             report.runs.len(),
+            report.warmups,
             started.elapsed().as_secs_f64()
         );
         if supervision.is_some() {
@@ -738,6 +759,63 @@ mod tests {
         let failure = run(["--frobnicate".to_string()]).unwrap_err();
         assert_eq!(failure.code, 2);
         assert_eq!(Failure::from("io".to_string()).code, 1);
+    }
+
+    /// The usage failure `environment` returns for these values.
+    fn env_failure(time_scale: Option<&str>, subset: Option<&str>) -> Failure {
+        let failure = environment(time_scale, subset).unwrap_err();
+        assert_eq!(failure.code, 2, "{}", failure.message);
+        failure
+    }
+
+    #[test]
+    fn environment_defaults_to_scale_50_and_the_whole_suite() {
+        let cfg = environment(None, None).unwrap();
+        assert_eq!(cfg.time_scale, 50.0);
+        assert_eq!(
+            environment(Some("400"), Some("gcc,mcf"))
+                .unwrap()
+                .time_scale,
+            400.0
+        );
+    }
+
+    #[test]
+    fn a_word_for_a_time_scale_is_a_usage_error() {
+        let msg = env_failure(Some("fast"), None).message;
+        assert!(msg.contains("HS_TIME_SCALE=`fast`"), "{msg}");
+        assert!(msg.contains(">= 1"), "valid values: {msg}");
+    }
+
+    #[test]
+    fn a_time_scale_under_one_or_nan_is_a_usage_error() {
+        for value in ["nan", "0.5", "inf"] {
+            let msg = env_failure(Some(value), None).message;
+            assert!(msg.contains(&format!("HS_TIME_SCALE=`{value}`")), "{msg}");
+            assert!(msg.contains(">= 1"), "valid values: {msg}");
+        }
+    }
+
+    #[test]
+    fn an_unknown_subset_name_is_a_usage_error() {
+        let msg = env_failure(None, Some("gcc,mfc")).message;
+        assert!(msg.contains("HS_SUBSET") && msg.contains("`mfc`"), "{msg}");
+        assert!(
+            msg.contains("gcc,") && msg.contains("mcf"),
+            "valid names: {msg}"
+        );
+    }
+
+    #[test]
+    fn a_subset_selecting_nothing_is_a_usage_error() {
+        for value in ["", " , "] {
+            let msg = env_failure(None, Some(value)).message;
+            assert!(
+                msg.contains("HS_SUBSET") && msg.contains("no benchmark"),
+                "{msg}"
+            );
+            assert!(msg.contains("mcf"), "valid names: {msg}");
+        }
     }
 
     #[test]

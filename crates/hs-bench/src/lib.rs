@@ -18,11 +18,14 @@
 //!
 //! ## Environment variables
 //!
-//! * `HS_TIME_SCALE` — thermal time-scale factor (default **50**: a 10 M
-//!   cycle quantum reproducing the 500 M-cycle dynamics; use 25 for the
-//!   EXPERIMENTS.md reference numbers, 1 for full fidelity).
+//! * `HS_TIME_SCALE` — thermal time-scale factor, a number >= 1 (default
+//!   **50**: a 10 M cycle quantum reproducing the 500 M-cycle dynamics;
+//!   use 25 for the EXPERIMENTS.md reference numbers, 1 for full fidelity).
 //! * `HS_SUBSET` — comma-separated benchmark names to restrict the suite
 //!   (e.g. `HS_SUBSET=gcc,eon,mcf`).
+//!
+//! A value outside those is a usage error (`campaign` exits 2), never a
+//! silent fallback.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -35,35 +38,102 @@ use hs_sim::SimConfig;
 use hs_workloads::{SpecWorkload, SPEC_SUITE};
 use std::io::{self, Write};
 
+/// `HS_TIME_SCALE` when it is unset.
+const DEFAULT_TIME_SCALE: f64 = 50.0;
+
 /// The harness configuration, honoring `HS_TIME_SCALE`.
+///
+/// # Panics
+///
+/// Panics when `HS_TIME_SCALE` is not a number >= 1 (the `campaign`
+/// binary rejects that as a usage error before any experiment asks).
 #[must_use]
 pub fn config() -> SimConfig {
-    let scale = std::env::var("HS_TIME_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(50.0);
-    SimConfig::scaled(scale.max(1.0))
+    match parse_time_scale(env("HS_TIME_SCALE").as_deref()) {
+        Ok(scale) => SimConfig::scaled(scale),
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// The benchmark suite, honoring `HS_SUBSET`.
+///
+/// # Panics
+///
+/// Panics when `HS_SUBSET` names an unknown benchmark or none at all (the
+/// `campaign` binary rejects that as a usage error before any experiment
+/// asks).
 #[must_use]
 pub fn suite() -> Vec<SpecWorkload> {
-    match std::env::var("HS_SUBSET") {
-        Ok(subset) => {
-            let wanted: Vec<&str> = subset.split(',').map(str::trim).collect();
-            let picked: Vec<SpecWorkload> = SPEC_SUITE
-                .into_iter()
-                .filter(|s| wanted.contains(&s.name()))
-                .collect();
-            assert!(
-                !picked.is_empty(),
-                "HS_SUBSET={subset:?} matches no benchmark; valid names: {:?}",
-                SPEC_SUITE.map(hs_workloads::SpecWorkload::name)
-            );
-            picked
-        }
-        Err(_) => SPEC_SUITE.to_vec(),
+    match parse_subset(env("HS_SUBSET").as_deref()) {
+        Ok(suite) => suite,
+        Err(e) => panic!("{e}"),
     }
+}
+
+/// An environment variable's value; `None` when unset. A value that is
+/// not UTF-8 comes back lossily converted, so it fails to parse instead of
+/// reading as unset.
+#[must_use]
+pub(crate) fn env(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// Parses an `HS_TIME_SCALE` value; `None` (unset) is
+/// [`DEFAULT_TIME_SCALE`].
+///
+/// # Errors
+///
+/// A message naming the variable and its valid values unless `value` is a
+/// finite number of at least 1.
+pub(crate) fn parse_time_scale(value: Option<&str>) -> Result<f64, String> {
+    let Some(value) = value else {
+        return Ok(DEFAULT_TIME_SCALE);
+    };
+    match value.trim().parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale >= 1.0 => Ok(scale),
+        _ => Err(format!(
+            "HS_TIME_SCALE=`{value}` is not a time scale: expected a finite number \
+             >= 1 (1 = full fidelity; unset = {DEFAULT_TIME_SCALE})"
+        )),
+    }
+}
+
+/// Parses an `HS_SUBSET` value, a comma-separated list of benchmark names,
+/// into suite members in suite order; `None` (unset) is the whole suite.
+///
+/// # Errors
+///
+/// A message naming the variable and the valid names when `value` names
+/// an unknown benchmark or no benchmark at all.
+pub(crate) fn parse_subset(value: Option<&str>) -> Result<Vec<SpecWorkload>, String> {
+    let Some(value) = value else {
+        return Ok(SPEC_SUITE.to_vec());
+    };
+    let valid = || SPEC_SUITE.map(SpecWorkload::name).join(",");
+    let wanted: Vec<&str> = value
+        .split(',')
+        .map(str::trim)
+        .filter(|n| !n.is_empty())
+        .collect();
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|&&n| !SPEC_SUITE.iter().any(|s| s.name() == n))
+    {
+        return Err(format!(
+            "HS_SUBSET=`{value}` names unknown benchmark `{unknown}`; valid names: {}",
+            valid()
+        ));
+    }
+    if wanted.is_empty() {
+        return Err(format!(
+            "HS_SUBSET=`{value}` selects no benchmark; valid names: {}",
+            valid()
+        ));
+    }
+    Ok(SPEC_SUITE
+        .into_iter()
+        .filter(|s| wanted.contains(&s.name()))
+        .collect())
 }
 
 /// Renders `value` as an ASCII bar scaled so `full` is `width` characters.
@@ -106,6 +176,20 @@ mod tests {
         assert_eq!(bar(5.0, 10.0, 10), "#####");
         assert_eq!(bar(20.0, 10.0, 10), "##########"); // clamped
         assert_eq!(bar(0.0, 10.0, 10), "");
+    }
+
+    #[test]
+    fn environment_values_parse() {
+        assert_eq!(parse_time_scale(None), Ok(DEFAULT_TIME_SCALE));
+        assert_eq!(parse_time_scale(Some("400")), Ok(400.0));
+        assert_eq!(parse_time_scale(Some("1")), Ok(1.0));
+        assert_eq!(parse_subset(None).unwrap().len(), SPEC_SUITE.len());
+        let picked = parse_subset(Some("mcf, gcc,")).unwrap();
+        assert_eq!(
+            picked,
+            [SpecWorkload::Gcc, SpecWorkload::Mcf],
+            "suite order"
+        );
     }
 
     #[test]

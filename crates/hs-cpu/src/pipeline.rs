@@ -147,8 +147,9 @@ impl FuBudget {
 
 /// The SMT core: shared RUU/LSQ, shared caches, per-thread contexts.
 ///
-/// See the crate-level docs for an end-to-end example.
-#[derive(Debug)]
+/// See the crate-level docs for an end-to-end example. A clone is a
+/// bit-identical snapshot: it continues exactly as the original would.
+#[derive(Debug, Clone)]
 pub struct Cpu {
     cfg: CpuConfig,
     threads: Vec<ThreadContext>,

@@ -3,14 +3,48 @@
 use crate::geometry::CacheGeometry;
 use crate::stats::CacheStats;
 
-/// One way of one set.
+/// One way of one set, packed into 16 bytes (a simulated core holds tens
+/// of thousands of lines): the valid and dirty flags live in the top two
+/// bits of the tag word. No tag reaches them: [`SetAssocCache::new`]
+/// requires a way stride of at least 4 bytes, so a tag is at most 62 bits
+/// wide.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
+    /// `VALID | DIRTY | tag`.
+    tag_flags: u64,
     /// Monotonic timestamp of the last touch; smallest = LRU victim.
     last_use: u64,
+}
+
+impl Line {
+    const VALID: u64 = 1 << 63;
+    const DIRTY: u64 = 1 << 62;
+    const TAG: u64 = Self::DIRTY - 1;
+
+    fn filled(tag: u64, dirty: bool, last_use: u64) -> Line {
+        debug_assert_eq!(tag & !Self::TAG, 0, "tag {tag:#x} overlaps the flag bits");
+        Line {
+            tag_flags: Self::VALID | (u64::from(dirty) * Self::DIRTY) | tag,
+            last_use,
+        }
+    }
+
+    fn valid(self) -> bool {
+        self.tag_flags & Self::VALID != 0
+    }
+
+    fn dirty(self) -> bool {
+        self.tag_flags & Self::DIRTY != 0
+    }
+
+    fn tag(self) -> u64 {
+        self.tag_flags & Self::TAG
+    }
+
+    /// Whether this way holds the block with `tag`.
+    fn holds(self, tag: u64) -> bool {
+        self.tag_flags & !Self::DIRTY == Self::VALID | tag
+    }
 }
 
 /// Result of a cache access.
@@ -61,8 +95,17 @@ pub struct SetAssocCache {
 
 impl SetAssocCache {
     /// Creates an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry's way stride is under 4 bytes: the tags of
+    /// such a cache would need the bits that hold each line's flags.
     #[must_use]
     pub fn new(geometry: CacheGeometry) -> Self {
+        assert!(
+            geometry.way_stride() >= 4,
+            "{geometry}: a way stride under 4 bytes leaves no room for line flags"
+        );
         let assoc = geometry.assoc() as usize;
         let lines = vec![Line::default(); geometry.sets() as usize * assoc];
         SetAssocCache {
@@ -101,15 +144,15 @@ impl SetAssocCache {
         let tag = self.geometry.tag(addr);
         let (set_idx, set) = self.set_mut(addr);
 
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(line) = set.iter_mut().find(|l| l.holds(tag)) {
             line.last_use = clock;
-            line.dirty |= is_write;
+            line.tag_flags |= u64::from(is_write) * Line::DIRTY;
             self.stats.record_hit(is_write);
             return AccessOutcome::Hit;
         }
 
         // Miss: pick victim = invalid way if any, else LRU.
-        let victim_idx = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
+        let victim_idx = set.iter().position(|l| !l.valid()).unwrap_or_else(|| {
             set.iter()
                 .enumerate()
                 .min_by_key(|(_, l)| l.last_use)
@@ -117,16 +160,11 @@ impl SetAssocCache {
                 .expect("set has at least one way")
         });
         let victim = set[victim_idx];
-        set[victim_idx] = Line {
-            valid: true,
-            dirty: is_write,
-            tag,
-            last_use: clock,
-        };
-        let writeback = if victim.valid && victim.dirty {
+        set[victim_idx] = Line::filled(tag, is_write, clock);
+        let writeback = if victim.valid() && victim.dirty() {
             let sets = self.geometry.sets();
             let line_bytes = self.geometry.line_bytes();
-            Some((victim.tag * sets + set_idx as u64) * line_bytes)
+            Some((victim.tag() * sets + set_idx as u64) * line_bytes)
         } else {
             None
         };
@@ -140,7 +178,7 @@ impl SetAssocCache {
         let base = self.geometry.set_index(addr) as usize * self.assoc;
         let set = &self.lines[base..base + self.assoc];
         let tag = self.geometry.tag(addr);
-        set.iter().any(|l| l.valid && l.tag == tag)
+        set.iter().any(|l| l.holds(tag))
     }
 
     /// Invalidates the block containing `addr` if present; returns whether a
@@ -148,9 +186,8 @@ impl SetAssocCache {
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let tag = self.geometry.tag(addr);
         let (_, set) = self.set_mut(addr);
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.valid = false;
-            line.dirty = false;
+        if let Some(line) = set.iter_mut().find(|l| l.holds(tag)) {
+            line.tag_flags = 0;
             true
         } else {
             false
@@ -167,7 +204,7 @@ impl SetAssocCache {
     /// Number of valid lines currently resident.
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.valid()).count()
     }
 }
 
@@ -270,6 +307,39 @@ mod tests {
         assert_eq!(s.read_misses + s.write_misses, 2);
         assert_eq!(s.read_hits + s.write_hits, 1);
         assert_eq!(s.accesses(), 3);
+    }
+
+    #[test]
+    fn packed_line_keeps_the_widest_tag_clear_of_its_flags() {
+        assert_eq!(std::mem::size_of::<Line>(), 16);
+        // `hs_cpu::pipeline::phys_addr` gives thread t the 2^41-byte region
+        // at (t + 1) << 41; the last byte of thread 3's region is the widest
+        // address a simulated core hands its caches.
+        let widest = (4u64 << 41) | ((1 << 41) - 1);
+        let defaults = crate::MemConfig::default();
+        for geometry in [defaults.l1d, defaults.l2, *tiny().geometry()] {
+            let tag = geometry.tag(widest);
+            for dirty in [false, true] {
+                let line = Line::filled(tag, dirty, 7);
+                assert_eq!(line.tag(), tag, "{geometry}");
+                assert!(line.valid(), "{geometry}");
+                assert_eq!(line.dirty(), dirty, "{geometry}");
+                assert!(line.holds(tag), "{geometry}");
+                assert!(!line.holds(tag ^ 1), "{geometry}");
+            }
+        }
+        // And through a cache: the dirty victim's block address comes back
+        // intact from its packed tag.
+        let mut c = tiny();
+        let stride = c.geometry().way_stride();
+        c.access(widest, true);
+        c.access(widest - stride, false);
+        match c.access(widest - 2 * stride, false) {
+            AccessOutcome::Miss { writeback } => {
+                assert_eq!(writeback, Some(c.geometry().block_addr(widest)));
+            }
+            AccessOutcome::Hit => panic!("expected a miss"),
+        }
     }
 
     #[test]

@@ -60,14 +60,24 @@ impl MemConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error on a zero latency or on L1/L2 line-size mismatch
-    /// (refills assume one L2 line holds a whole L1 line).
+    /// Returns an error on a zero latency, on a cache whose way stride
+    /// (line size × sets) is under 4 bytes (its tags would collide with the
+    /// line flags), or on L1/L2 line-size mismatch (refills assume one L2
+    /// line holds a whole L1 line).
     pub fn try_validate(&self) -> Result<(), ParseGeometryError> {
         if self.l1_latency == 0 || self.l2_latency == 0 || self.memory_latency == 0 {
             return Err(ParseGeometryError::new("every latency must be nonzero"));
         }
         if self.l1i.line_bytes() != self.l1d.line_bytes() {
             return Err(ParseGeometryError::new("L1 i/d line sizes must match"));
+        }
+        if [self.l1i, self.l1d, self.l2]
+            .iter()
+            .any(|g| g.way_stride() < 4)
+        {
+            return Err(ParseGeometryError::new(
+                "every cache needs a way stride of at least 4 bytes",
+            ));
         }
         if self.l2.line_bytes() < self.l1d.line_bytes() {
             return Err(ParseGeometryError::new(

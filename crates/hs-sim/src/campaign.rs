@@ -5,7 +5,9 @@
 //! holds that matrix as declarative, labelled [`RunSpec`]s; [`Campaign::run`]
 //! executes it on a `std::thread` worker pool where **each run owns its own
 //! [`Simulator`]** and aggregates per-run [`SimStats`] into a
-//! [`CampaignReport`].
+//! [`CampaignReport`]. Runs that share a warm-up identity (same workloads,
+//! core, memory, time scale, warm-up length and admission gate) start from
+//! clones of one warmed core, so each distinct warm-up is simulated once.
 //!
 //! ## Determinism contract
 //!
@@ -13,13 +15,16 @@
 //!
 //! * every run is identified by a **stable run id** — its index in
 //!   declaration order — assigned before any worker starts;
-//! * workers share nothing but an atomic cursor into the run list; a run's
-//!   simulator, RNG streams and statistics are private to it;
+//! * workers share an atomic cursor into the run list and the execution's
+//!   warm cores; a run's simulator (started from a bit-identical clone of
+//!   the core its warm-up would have produced), RNG streams and statistics
+//!   are private to it;
 //! * the report stores results **by run id, not completion order**;
 //! * [`CampaignReport::to_json`] serializes only the deterministic payload
-//!   (name + runs). Wall-clock and worker-count accounting live next to it
-//!   in the in-memory report and are deliberately **excluded** from the
-//!   artifact, so `--jobs 1` and `--jobs N` write byte-identical files.
+//!   (name + runs). Wall-clock, worker-count and warm-up accounting live
+//!   next to it in the in-memory report and are deliberately **excluded**
+//!   from the artifact, so `--jobs 1` and `--jobs N` write byte-identical
+//!   files.
 //!
 //! The dedicated test `crates/hs-sim/tests/campaign.rs` enforces the
 //! contract on a ≥16-run matrix.
@@ -43,13 +48,12 @@
 
 use crate::config::{FaultConfig, HeatSink, PolicyKind, SimConfig};
 use crate::error::SimError;
+use crate::executor;
 use crate::json::{Json, JsonError};
 use crate::runner::RunSpec;
 use crate::stats::SimStats;
 use crate::supervise::QuarantinedRun;
 use hs_workloads::Workload;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One labelled entry of a campaign's run matrix.
@@ -146,11 +150,12 @@ impl Campaign {
     /// Executes the whole matrix on `jobs` worker threads and aggregates
     /// the results into a [`CampaignReport`].
     ///
-    /// `jobs` is clamped to `1..=len()`. Runs are handed to workers in
-    /// run-id order through an atomic cursor; each worker builds, runs and
-    /// drops its own [`Simulator`](crate::Simulator) per run, so no
-    /// simulation state is ever shared. The report is ordered by run id
-    /// regardless of completion order.
+    /// `jobs` is clamped to `1..=len()`. Workers take runs from a shared
+    /// cursor, the runs of each distinct warm-up back to back; each run
+    /// builds and drops its own [`Simulator`](crate::Simulator), and runs
+    /// sharing a warm-up start from clones of one warmed core (DESIGN.md
+    /// §3b), so no run sees another's simulation. The report is ordered by
+    /// run id regardless of completion order.
     ///
     /// # Errors
     ///
@@ -164,62 +169,47 @@ impl Campaign {
     pub fn run(&self, jobs: usize) -> Result<CampaignReport, SimError> {
         self.preflight()?;
         let started = Instant::now();
-        let mut slots: Vec<Option<SimStats>> = Vec::new();
-        let jobs = jobs.clamp(1, self.runs.len().max(1));
-        if jobs <= 1 {
-            // Serial fast path: no pool, same order, same results.
-            for run in &self.runs {
-                slots.push(Some(run.spec.try_run().map_err(|e| self.wrap(e))?));
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let cells: Vec<Mutex<Option<Result<SimStats, SimError>>>> =
-                self.runs.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..jobs {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(run) = self.runs.get(i) else { break };
-                        let result = run.spec.try_run();
-                        *cells[i].lock().expect("result cell poisoned") = Some(result);
-                    });
-                }
-            });
-            for (i, cell) in cells.into_iter().enumerate() {
-                let result = cell
-                    .into_inner()
-                    .expect("result cell poisoned")
-                    .unwrap_or_else(|| unreachable!("worker pool exited with run {i} unexecuted"));
-                slots.push(Some(result.map_err(|e| self.wrap(e))?));
-            }
+        let ids: Vec<usize> = (0..self.runs.len()).collect();
+        let executed = executor::execute(
+            &self.runs,
+            &ids,
+            jobs,
+            |id, worker| worker.run(id, &self.runs[id].spec).0,
+            |_| false,
+        );
+        let mut runs = Vec::with_capacity(self.runs.len());
+        for (id, result) in executed.results.into_iter().enumerate() {
+            let stats = result
+                .unwrap_or_else(|| unreachable!("run {id} unexecuted"))
+                .map_err(|e| self.wrap(e))?;
+            runs.push(self.record(id, stats));
         }
-        let wall = started.elapsed();
-        let runs = self
-            .runs
-            .iter()
-            .zip(slots)
-            .enumerate()
-            .map(|(id, (planned, stats))| RunRecord {
-                id,
-                label: planned.label.clone(),
-                workloads: planned
-                    .spec
-                    .workloads()
-                    .iter()
-                    .map(|w| w.name().to_string())
-                    .collect(),
-                policy: planned.spec.policy().name().to_string(),
-                sink: planned.spec.sink().name().to_string(),
-                stats: stats.expect("every slot filled"),
-            })
-            .collect();
         Ok(CampaignReport {
             name: self.name.clone(),
             runs,
             quarantined: Vec::new(),
-            jobs,
-            wall,
+            jobs: executed.jobs,
+            warmups: executed.warmups,
+            wall: started.elapsed(),
         })
+    }
+
+    /// The report record of run `id`.
+    pub(crate) fn record(&self, id: usize, stats: SimStats) -> RunRecord {
+        let planned = &self.runs[id];
+        RunRecord {
+            id,
+            label: planned.label.clone(),
+            workloads: planned
+                .spec
+                .workloads()
+                .iter()
+                .map(|w| w.name().to_string())
+                .collect(),
+            policy: planned.spec.policy().name().to_string(),
+            sink: planned.spec.sink().name().to_string(),
+            stats,
+        }
     }
 
     fn wrap(&self, e: SimError) -> SimError {
@@ -411,6 +401,11 @@ pub struct CampaignReport {
     pub quarantined: Vec<QuarantinedRun>,
     /// Worker threads used (accounting only — not serialized).
     pub jobs: usize,
+    /// Warm-ups the execution simulated (accounting only — not
+    /// serialized). Runs sharing a warm-up identity share one warm-up, so
+    /// a clean execution simulates one per distinct identity among the
+    /// runs it executed, at any `jobs`.
+    pub warmups: usize,
     /// Wall-clock time of the batch (accounting only — not serialized).
     pub wall: Duration,
 }
@@ -568,6 +563,7 @@ impl CampaignReport {
             runs,
             quarantined,
             jobs: 0,
+            warmups: 0,
             wall: Duration::ZERO,
         })
     }

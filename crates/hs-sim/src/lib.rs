@@ -57,6 +57,7 @@ pub mod admission;
 pub mod campaign;
 pub mod config;
 pub mod error;
+mod executor;
 mod journal;
 pub mod json;
 pub mod os;

@@ -27,6 +27,7 @@ use crate::config::{FaultConfig, HeatSink, PolicyKind, SimConfig};
 use crate::error::SimError;
 use crate::simulator::Simulator;
 use crate::stats::SimStats;
+use hs_cpu::Cpu;
 use hs_workloads::Workload;
 
 /// One experiment: a set of co-scheduled workloads under a policy/package.
@@ -248,11 +249,24 @@ impl RunSpec {
     /// a spec that passes preflight always runs to completion.
     pub fn try_run(&self) -> Result<SimStats, SimError> {
         self.preflight()?;
-        let mut sim = Simulator::try_new(self.config, self.policy, self.sink)?;
+        self.simulator(None)?.try_run_quantum()
+    }
+
+    /// This run's simulator, on a fresh core with the workloads attached,
+    /// or on `warm`: a core that already ran this run's warm-up (same
+    /// [`WarmupKey`](crate::executor::WarmupKey)), with the workloads only
+    /// admitted.
+    pub(crate) fn simulator(&self, warm: Option<Cpu>) -> Result<Simulator, SimError> {
+        let adopted = warm.is_some();
+        let mut sim = Simulator::try_with_core(self.config, self.policy, self.sink, warm)?;
         for &w in &self.workloads {
-            sim.attach(w)?;
+            if adopted {
+                sim.admit(w)?;
+            } else {
+                sim.attach(w)?;
+            }
         }
-        sim.try_run_quantum()
+        Ok(sim)
     }
 
     /// Executes the experiment: warm-up plus one measured quantum.

@@ -14,6 +14,7 @@ use hs_cpu::{
     AccessMatrix, Cpu, PhaseDetector, PhaseDetectorConfig, PhaseSample, Resource, ThreadId,
     ALL_RESOURCES,
 };
+use hs_isa::Program;
 use hs_power::{calibration, resource_block, PowerModel};
 use hs_thermal::{SensorBank, ThermalNetwork, ALL_BLOCKS, NUM_BLOCKS};
 use hs_workloads::Workload;
@@ -77,6 +78,33 @@ impl IdleProbe {
         self.wait = self.backoff;
         self.backoff = (self.backoff * 2).min(Self::MAX_BACKOFF);
     }
+
+    /// Ticks `cpu` for `cycles` cycles under a gate that holds for the
+    /// whole span, fast-forwarding through provably idle stall windows
+    /// (see `Cpu::idle_bound`) instead of ticking them one by one.
+    fn tick_span(&mut self, cpu: &mut Cpu, gate: FetchGate, cycles: u64) {
+        let mut done = 0u64;
+        while done < cycles {
+            cpu.tick(gate);
+            done += 1;
+            if done == cycles {
+                break;
+            }
+            if !self.should_probe() {
+                continue;
+            }
+            let skip = cpu
+                .idle_bound(gate)
+                .map_or(0, |b| (b - 1 - cpu.cycle()).min(cycles - done));
+            if skip > 0 {
+                cpu.skip_idle_cycles(gate, skip);
+                done += skip;
+                self.hit();
+            } else {
+                self.miss();
+            }
+        }
+    }
 }
 
 impl Simulator {
@@ -105,11 +133,24 @@ impl Simulator {
     /// and a finite heat-removal rate nothing bounds the temperature, so
     /// the run would silently produce a meaningless thermal runaway.
     pub fn try_new(cfg: SimConfig, policy: PolicyKind, sink: HeatSink) -> Result<Self, SimError> {
+        Self::try_with_core(cfg, policy, sink, None)
+    }
+
+    /// [`Simulator::try_new`] that adopts `warm` — a core built for
+    /// `cfg.cpu`/`cfg.mem` that already holds this run's workloads and has
+    /// run their warm-up — instead of allocating a fresh one. Workloads are
+    /// then [`admit`](Simulator::admit)ted, not attached.
+    pub(crate) fn try_with_core(
+        cfg: SimConfig,
+        policy: PolicyKind,
+        sink: HeatSink,
+        warm: Option<Cpu>,
+    ) -> Result<Self, SimError> {
         cfg.try_validate()?;
         if policy == PolicyKind::None && sink == HeatSink::Realistic {
             return Err(SimError::RunawayCombination);
         }
-        let cpu = Cpu::new(cfg.cpu, cfg.mem);
+        let cpu = warm.unwrap_or_else(|| Cpu::new(cfg.cpu, cfg.mem));
         let model = PowerModel::new(cfg.energy);
         let thermal = match sink {
             HeatSink::Ideal => None,
@@ -157,52 +198,82 @@ impl Simulator {
     /// screening under [`AdmissionMode::Reject`] classifies the program as
     /// an attack; either way the workload is not attached.
     pub fn attach(&mut self, workload: Workload) -> Result<ThreadId, SimError> {
-        if self.cpu.num_threads() as u32 >= self.cfg.cpu.contexts {
+        let (tid, program) = self.screen_next(workload)?;
+        self.cpu.attach_thread(program);
+        Ok(tid)
+    }
+
+    /// Admits `workload` to the next hardware context of an adopted core
+    /// (see [`Simulator::try_with_core`]), which already runs its program:
+    /// the admission screen and its reports exactly as [`Simulator::attach`]
+    /// files them, without touching the core.
+    pub(crate) fn admit(&mut self, workload: Workload) -> Result<ThreadId, SimError> {
+        self.screen_next(workload).map(|(tid, _)| tid)
+    }
+
+    /// The admission half of [`Simulator::attach`]: builds `workload`'s
+    /// program for the next free context, screens it, and records the
+    /// verdict's gate and reports.
+    fn screen_next(&mut self, workload: Workload) -> Result<(ThreadId, Program), SimError> {
+        if self.names.len() as u32 >= self.cfg.cpu.contexts {
             return Err(SimError::TooManyWorkloads {
-                requested: self.cpu.num_threads() + 1,
+                requested: self.names.len() + 1,
                 contexts: self.cfg.cpu.contexts,
             });
         }
         let program = workload.program_with(&self.cfg.mem, self.cfg.time_scale);
-        let verdict = if self.cfg.admission == AdmissionMode::Off {
-            None
-        } else {
+        let tid = ThreadId(self.names.len() as u8);
+        if self.cfg.admission != AdmissionMode::Off {
             let analysis = screen(&program, &self.cfg);
-            if analysis.verdict == Verdict::HeatStroke
-                && self.cfg.admission == AdmissionMode::Reject
-            {
-                return Err(SimError::AdmissionRejected {
-                    workload: workload.name().to_string(),
-                    est_temp_k: analysis.est_temp_k,
+            let kind = match (analysis.verdict, self.cfg.admission) {
+                (Verdict::HeatStroke, AdmissionMode::Reject) => {
+                    return Err(SimError::AdmissionRejected {
+                        workload: workload.name().to_string(),
+                        est_temp_k: analysis.est_temp_k,
+                    });
+                }
+                (Verdict::HeatStroke, AdmissionMode::Sedate) => {
+                    self.admission_gate.set(tid, true);
+                    Some(ReportKind::AdmissionSedated)
+                }
+                (Verdict::HeatStroke | Verdict::Suspicious, _) => {
+                    Some(ReportKind::AdmissionFlagged)
+                }
+                (Verdict::Benign, _) => None,
+            };
+            if let Some(kind) = kind {
+                self.admission_reports.push(OsReport {
+                    cycle: 0,
+                    thread: Some(tid),
+                    block: analysis.hottest_block,
+                    kind,
+                    weighted_avg: Some(analysis.int_regfile_rate),
+                    temperature_k: analysis.est_temp_k,
                 });
             }
-            Some(analysis)
-        };
+        }
         self.names.push(workload.name());
-        let tid = self.cpu.attach_thread(program);
-        if let Some(analysis) = verdict {
-            let report = |kind| OsReport {
-                cycle: 0,
-                thread: Some(tid),
-                block: analysis.hottest_block,
-                kind,
-                weighted_avg: Some(analysis.int_regfile_rate),
-                temperature_k: analysis.est_temp_k,
-            };
-            match analysis.verdict {
-                Verdict::HeatStroke if self.cfg.admission == AdmissionMode::Sedate => {
-                    self.admission_gate.set(tid, true);
-                    self.admission_reports
-                        .push(report(ReportKind::AdmissionSedated));
-                }
-                Verdict::HeatStroke | Verdict::Suspicious => {
-                    self.admission_reports
-                        .push(report(ReportKind::AdmissionFlagged));
-                }
-                Verdict::Benign => {}
+        Ok((tid, program))
+    }
+
+    /// The fetch gate [`Simulator::attach`] leaves `workloads` with under
+    /// `cfg`, found without building a core. Only
+    /// [`AdmissionMode::Sedate`] closes gates, so only it screens.
+    pub(crate) fn admission_gate_for(cfg: &SimConfig, workloads: &[Workload]) -> FetchGate {
+        let mut gate = FetchGate::open();
+        if cfg.admission == AdmissionMode::Sedate {
+            for (t, w) in workloads.iter().enumerate() {
+                let program = w.program_with(&cfg.mem, cfg.time_scale);
+                let stroke = screen(&program, cfg).verdict == Verdict::HeatStroke;
+                gate.set(ThreadId(t as u8), stroke);
             }
         }
-        Ok(tid)
+        gate
+    }
+
+    /// The core, for cloning after [`Simulator::warm_up`].
+    pub(crate) fn core(&self) -> &Cpu {
+        &self.cpu
     }
 
     /// The configuration in use.
@@ -258,41 +329,29 @@ impl Simulator {
         if self.names.is_empty() {
             return Err(SimError::NoWorkloads);
         }
+        self.warm_up();
+        Ok(self.run_measured())
+    }
+
+    /// The warm-up phase: caches and predictors, no DTM, no thermal. Its
+    /// outcome depends only on the core's configuration, its programs, the
+    /// warm-up length and the admission gate — the campaign engine's
+    /// warm-up identity. Admission-sedated threads stay gated even here:
+    /// they were never supposed to execute a cycle.
+    pub(crate) fn warm_up(&mut self) {
+        IdleProbe::new().tick_span(&mut self.cpu, self.admission_gate, self.cfg.warmup_cycles);
+        let _ = self.cpu.take_access_counts();
+    }
+
+    /// The measured phase: one quantum of pipeline, power, thermal and
+    /// DTM, starting from the core as [`Simulator::warm_up`] left it.
+    pub(crate) fn run_measured(&mut self) -> SimStats {
         let nthreads = self.cpu.num_threads();
         let quantum = self.cfg.quantum_cycles;
         let sample = self.cfg.sedation.sample_period_cycles;
         let sensor = self.cfg.sensor_interval_cycles;
         let sensor_dt = sensor as f64 / self.cfg.freq_hz;
         let emergency_k = self.cfg.sedation.thresholds.emergency_k;
-
-        // ---- Warm-up: caches and predictors, no DTM, no thermal.
-        // Admission-sedated threads stay gated even here: they were never
-        // supposed to execute a cycle.
-        let mut done = 0u64;
-        let mut probe = IdleProbe::new();
-        while done < self.cfg.warmup_cycles {
-            self.cpu.tick(self.admission_gate);
-            done += 1;
-            if done == self.cfg.warmup_cycles {
-                break;
-            }
-            // Fast-forward through provably idle stall windows (see
-            // `Cpu::idle_bound`); the gate is constant for the whole phase.
-            if probe.should_probe() {
-                let bound = self.cpu.idle_bound(self.admission_gate);
-                let skip = bound
-                    .map(|b| (b - 1 - self.cpu.cycle()).min(self.cfg.warmup_cycles - done))
-                    .unwrap_or(0);
-                if skip > 0 {
-                    self.cpu.skip_idle_cycles(self.admission_gate, skip);
-                    done += skip;
-                    probe.hit();
-                } else {
-                    probe.miss();
-                }
-            }
-        }
-        let _ = self.cpu.take_access_counts();
         let committed_base: Vec<u64> = (0..nthreads)
             .map(|t| self.cpu.thread_stats(ThreadId(t as u8)).committed)
             .collect();
@@ -414,28 +473,7 @@ impl Simulator {
                     b.global_stall_cycles += span;
                 }
             } else {
-                let mut ticked = 0u64;
-                while ticked < span {
-                    self.cpu.tick(gate);
-                    ticked += 1;
-                    if ticked == span {
-                        break;
-                    }
-                    if !probe.should_probe() {
-                        continue;
-                    }
-                    let bound = self.cpu.idle_bound(gate);
-                    let skip = bound
-                        .map(|b| (b - 1 - self.cpu.cycle()).min(span - ticked))
-                        .unwrap_or(0);
-                    if skip > 0 {
-                        self.cpu.skip_idle_cycles(gate, skip);
-                        ticked += skip;
-                        probe.hit();
-                    } else {
-                        probe.miss();
-                    }
-                }
+                probe.tick_span(&mut self.cpu, gate, span);
                 for (t, b) in breakdowns.iter_mut().enumerate() {
                     if gate.is_gated(ThreadId(t as u8)) {
                         b.sedated_cycles += span;
@@ -602,7 +640,7 @@ impl Simulator {
                 }
             })
             .collect();
-        Ok(SimStats {
+        SimStats {
             cycles: quantum,
             threads,
             emergencies,
@@ -610,7 +648,7 @@ impl Simulator {
             reports,
             policy: self.policy.name().to_string(),
             fast_forwarded_cycles: fast_forwarded,
-        })
+        }
     }
 }
 

@@ -47,8 +47,9 @@
 //! can only change in-memory attempt counts, never the artifact — unless
 //! every attempt times out, which supervision treats as a genuine runaway.
 
-use crate::campaign::{Campaign, CampaignReport, PlannedRun, RunRecord};
+use crate::campaign::{Campaign, CampaignReport, PlannedRun};
 use crate::error::SimError;
+use crate::executor::{self, Worker};
 use crate::journal::{Journal, JournalEntry};
 use crate::json::Json;
 use crate::stats::SimStats;
@@ -57,8 +58,8 @@ use hs_thermal::XorShift64;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Once;
 use std::time::{Duration, Instant};
 
 thread_local! {
@@ -483,42 +484,33 @@ impl Campaign {
         };
 
         let pending: Vec<usize> = (0..self.len()).filter(|&i| slots[i].is_none()).collect();
-        let jobs = jobs.clamp(1, pending.len().max(1));
-        let cursor = AtomicUsize::new(0);
         let journaled = AtomicUsize::new(0);
-        let aborted = AtomicBool::new(false);
-        let cells: Vec<Mutex<Option<Done>>> = pending.iter().map(|_| Mutex::new(None)).collect();
-
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    if aborted.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&id) = pending.get(i) else { break };
-                    let done = supervise_one(&self.runs()[id], id, sup);
-                    if let Some(journal) = &journal {
-                        match &done {
-                            Done::Completed(stats) => {
-                                journal.completed(id, &self.runs()[id].label, stats);
-                            }
-                            Done::Quarantined(q) => journal.quarantined(q),
+        let executed = executor::execute(
+            self.runs(),
+            &pending,
+            jobs,
+            |id, worker| {
+                let done = supervise_one(&self.runs()[id], id, sup, worker);
+                if let Some(journal) = &journal {
+                    match &done {
+                        Done::Completed(stats) => {
+                            journal.completed(id, &self.runs()[id].label, stats);
                         }
+                        Done::Quarantined(q) => journal.quarantined(q),
                     }
-                    let n = journaled.fetch_add(1, Ordering::SeqCst) + 1;
-                    if sup.abort_after.is_some_and(|k| n >= k) {
-                        aborted.store(true, Ordering::SeqCst);
-                    }
-                    *cells[i].lock().expect("outcome cell poisoned") = Some(done);
-                });
-            }
-        });
+                }
+                done
+            },
+            |_| {
+                let n = journaled.fetch_add(1, Ordering::SeqCst) + 1;
+                sup.abort_after.is_some_and(|k| n >= k)
+            },
+        );
 
         if let Some(journal) = journal {
             journal.flush()?;
         }
-        if aborted.load(Ordering::SeqCst) {
+        if executed.stopped {
             return Err(SimError::Interrupted {
                 what: format!(
                     "campaign `{}` aborted after {} supervised outcomes (abort-after hook)",
@@ -527,32 +519,17 @@ impl Campaign {
                 ),
             });
         }
-        for (i, cell) in cells.into_iter().enumerate() {
-            let done = cell
-                .into_inner()
-                .expect("outcome cell poisoned")
-                .unwrap_or_else(|| unreachable!("pending run {} unexecuted", pending[i]));
-            slots[pending[i]] = Some(done);
+        for (slot, done) in slots.iter_mut().zip(executed.results) {
+            if done.is_some() {
+                *slot = done;
+            }
         }
 
-        let wall = started.elapsed();
         let mut runs = Vec::new();
         let mut quarantined = Vec::new();
-        for (id, (planned, done)) in self.runs().iter().zip(slots).enumerate() {
+        for (id, done) in slots.into_iter().enumerate() {
             match done.unwrap_or_else(|| unreachable!("run {id} has no outcome")) {
-                Done::Completed(stats) => runs.push(RunRecord {
-                    id,
-                    label: planned.label.clone(),
-                    workloads: planned
-                        .spec
-                        .workloads()
-                        .iter()
-                        .map(|w| w.name().to_string())
-                        .collect(),
-                    policy: planned.spec.policy().name().to_string(),
-                    sink: planned.spec.sink().name().to_string(),
-                    stats,
-                }),
+                Done::Completed(stats) => runs.push(self.record(id, stats)),
                 Done::Quarantined(q) => quarantined.push(q),
             }
         }
@@ -560,18 +537,19 @@ impl Campaign {
             name: self.name().to_string(),
             runs,
             quarantined,
-            jobs,
-            wall,
+            jobs: executed.jobs,
+            warmups: executed.warmups,
+            wall: started.elapsed(),
         })
     }
 }
 
 /// Runs one planned run to its final disposition: retry transient
 /// failures per the policy, quarantine permanent ones.
-fn supervise_one(run: &PlannedRun, id: usize, sup: &Supervision) -> Done {
+fn supervise_one(run: &PlannedRun, id: usize, sup: &Supervision, worker: &Worker<'_>) -> Done {
     let max_attempts = sup.retry.max_attempts.max(1);
     for attempt in 1..=max_attempts {
-        let outcome = attempt_once(run, id, attempt, sup);
+        let outcome = attempt_once(run, id, attempt, sup, worker);
         let Some(class) = outcome.class() else {
             let RunOutcome::Completed(stats) = outcome else {
                 unreachable!("only Completed classifies as None")
@@ -594,8 +572,15 @@ fn supervise_one(run: &PlannedRun, id: usize, sup: &Supervision) -> Done {
 }
 
 /// One supervised attempt: cycle-budget gate, chaos injection, panic
-/// isolation, wall-clock check.
-fn attempt_once(run: &PlannedRun, id: usize, attempt: u32, sup: &Supervision) -> RunOutcome {
+/// isolation, wall-clock check. Time spent waiting for another run's
+/// warm-up does not count against the deadline.
+fn attempt_once(
+    run: &PlannedRun,
+    id: usize,
+    attempt: u32,
+    sup: &Supervision,
+    worker: &Worker<'_>,
+) -> RunOutcome {
     if let Some(budget) = sup.cycle_budget {
         let cfg = run.spec.config();
         let needed = cfg.warmup_cycles.saturating_add(cfg.quantum_cycles);
@@ -626,15 +611,17 @@ fn attempt_once(run: &PlannedRun, id: usize, attempt: u32, sup: &Supervision) ->
             chaos != ChaosEvent::Panic,
             "chaos: injected panic in `{label}` (attempt {attempt})"
         );
-        run.spec.try_run()
+        worker.run(id, &run.spec)
     };
-    // `RunSpec` is plain data and each attempt builds a fresh `Simulator`,
-    // so nothing observable survives an unwind: AssertUnwindSafe is sound.
+    // `RunSpec` is plain data, each attempt builds a fresh `Simulator`, and
+    // a shared warm core is only ever cloned (an unwinding warm-up hands
+    // its duty back), so nothing observable survives an unwind:
+    // AssertUnwindSafe is sound.
     SUPERVISED.with(|s| s.set(true));
     let caught = catch_unwind(AssertUnwindSafe(work));
     SUPERVISED.with(|s| s.set(false));
-    let result = match caught {
-        Ok(result) => result,
+    let (result, waited) = match caught {
+        Ok(ran) => ran,
         Err(payload) => {
             return RunOutcome::Panicked {
                 message: panic_message(payload.as_ref()),
@@ -642,7 +629,7 @@ fn attempt_once(run: &PlannedRun, id: usize, attempt: u32, sup: &Supervision) ->
         }
     };
     if let Some(limit) = sup.wall_deadline {
-        if started.elapsed() > limit {
+        if started.elapsed().saturating_sub(waited) > limit {
             // The attempt's result is discarded even when Ok: a run that
             // overran its deadline is a runaway by definition, and keeping
             // the result would make the report depend on scheduling luck.

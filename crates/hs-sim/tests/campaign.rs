@@ -61,6 +61,47 @@ fn parallel_report_is_byte_identical_to_serial() {
     assert_eq!(serial.to_json(), oversubscribed.to_json());
 }
 
+/// gcc + variant1 under the five DTM policies plus gcc and mcf solos, the
+/// shape of the benchmark's `policy_sweep`: three distinct warm-ups.
+fn policy_sweep() -> Campaign {
+    let mut campaign = CampaignMatrix::new(tiny())
+        .workloads(
+            "gcc+v1",
+            [Workload::Spec(SpecWorkload::Gcc), Workload::Variant1],
+        )
+        .policy(PolicyKind::StopAndGo)
+        .policy(PolicyKind::GlobalDvfs)
+        .policy(PolicyKind::RateCap)
+        .policy(PolicyKind::SelectiveSedation)
+        .policy(PolicyKind::FaultTolerant)
+        .build("policy-sweep")
+        .expect("valid matrix");
+    for w in [SpecWorkload::Gcc, SpecWorkload::Mcf] {
+        campaign.push(
+            w.name(),
+            RunSpec::solo(
+                Workload::Spec(w),
+                PolicyKind::SelectiveSedation,
+                HeatSink::Realistic,
+                tiny(),
+            ),
+        );
+    }
+    campaign
+}
+
+#[test]
+fn each_distinct_warmup_is_simulated_once_at_every_jobs_count() {
+    let matrix = matrix16();
+    let sweep = policy_sweep();
+    assert_eq!(sweep.len(), 7);
+    for jobs in [1, 2, 3, 4] {
+        // 16 runs over 4 co-schedules; policy and sink do not enter warm-up.
+        assert_eq!(matrix.run(jobs).expect("runs").warmups, 4, "jobs={jobs}");
+        assert_eq!(sweep.run(jobs).expect("runs").warmups, 3, "jobs={jobs}");
+    }
+}
+
 #[test]
 fn report_preserves_declaration_order_and_ids() {
     let campaign = matrix16();
@@ -221,8 +262,9 @@ fn campaign_preflight_names_the_offending_run() {
 }
 
 /// The ≥3x speedup acceptance check. Meaningful only with real hardware
-/// parallelism and an optimized build, so it self-skips elsewhere (CI
-/// runners and this container may expose a single core).
+/// parallelism and an optimized build: the speedup assertion self-skips
+/// below 4 cores (CI runners may expose a single core), and the whole test
+/// in debug builds.
 #[test]
 fn parallel_speedup_on_wide_machines() {
     if cfg!(debug_assertions) {
@@ -230,10 +272,6 @@ fn parallel_speedup_on_wide_machines() {
         return;
     }
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if cores < 4 {
-        eprintln!("skipping speedup measurement on {cores}-core machine");
-        return;
-    }
     // Heavier runs than tiny() so per-run work dominates scheduling noise.
     let mut cfg = SimConfig::scaled(2000.0);
     cfg.warmup_cycles = 50_000;
@@ -255,6 +293,13 @@ fn parallel_speedup_on_wide_machines() {
     let serial = campaign.run(1).expect("serial");
     let parallel = campaign.run(4).expect("parallel");
     assert_eq!(serial.to_json(), parallel.to_json());
+    // 16 distinct pairs: nothing to share.
+    assert_eq!(serial.warmups, 16);
+    assert_eq!(parallel.warmups, 16);
+    if cores < 4 {
+        eprintln!("skipping speedup measurement on {cores}-core machine");
+        return;
+    }
     let speedup = serial.wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-9);
     assert!(
         speedup >= 3.0,
