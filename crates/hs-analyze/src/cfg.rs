@@ -29,7 +29,7 @@
 //!
 //! The counter's initial value is recovered by a small forward
 //! constant-propagation over the straight-line window before the header
-//! ([`INIT_SCAN_WINDOW`] instructions), so initializers built from chains
+//! (`INIT_SCAN_WINDOW` instructions), so initializers built from chains
 //! of immediate adds/subs — not just a single `load_imm` — still yield a
 //! finite count.
 

@@ -6,8 +6,8 @@
 //! register file) with near-zero stall slack. This crate screens an
 //! [`hs_isa::Program`] **without running it**:
 //!
-//! 1. [`cfg`] builds a basic-block CFG, finds natural loops, and recovers
-//!    trip counts (counted idiom, infinite back edge, or unknown);
+//! 1. [`cfg`](mod@cfg) builds a basic-block CFG, finds natural loops, and
+//!    recovers trip counts (counted idiom, infinite back edge, or unknown);
 //! 2. [`dataflow`] maps every instruction to the microarchitectural
 //!    resources it touches — mirroring the cycle-level pipeline's
 //!    accounting exactly — models cache-missing address streams, and

@@ -336,9 +336,8 @@ impl Options {
     }
 }
 
-/// Validates a previously written artifact: a campaign report, the
-/// `bench` experiment's performance document, or the `analyze`
-/// experiment's static-screening document.
+/// Validates a previously written artifact: a campaign report or the
+/// `analyze` experiment's static-screening document.
 fn check(path: &Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -358,12 +357,6 @@ fn check(path: &Path) -> Result<(), String> {
     }
     let doc = Json::parse(&text)
         .map_err(|e| format!("{} is not a recognized artifact: {e}", path.display()))?;
-    if doc.get("experiment").and_then(Json::as_str) == Some("bench") {
-        let (components, cycles) = crate::experiments::bench::check_artifact(&doc)
-            .map_err(|e| format!("{} is not a recognized artifact: {e}", path.display()))?;
-        println!("ok: bench artifact, {components} components, {cycles} cycles timed");
-        return Ok(());
-    }
     let verdicts = check_analysis_artifact(&doc)
         .map_err(|e| format!("{} is not a recognized artifact: {e}", path.display()))?;
     let attacks = verdicts
@@ -489,9 +482,9 @@ pub fn run(args: impl IntoIterator<Item = String>) -> Result<(), Failure> {
         let mut out = stdout.lock();
         (e.render)(&cfg, &report, &mut out).map_err(|err| format!("{}: {err}", e.name))?;
         if let Some(build_artifact) = e.artifact {
-            // `--explain`/`--verdicts` interpret *analysis* artifacts; other
-            // artifact-bearing experiments (`bench`) have nothing to explain.
-            if (opts.explain || opts.verdicts.is_some()) && e.name == "analyze" {
+            // `--explain`/`--verdicts` interpret the analysis artifact, the
+            // only one an experiment builds itself.
+            if opts.explain || opts.verdicts.is_some() {
                 let doc = Json::parse(&build_artifact(&cfg))
                     .map_err(|err| format!("{}: artifact is not JSON: {err}", e.name))?;
                 if opts.explain {

@@ -19,7 +19,6 @@ use hs_workloads::Workload;
 use std::io::{self, Write};
 
 mod analyze;
-pub(crate) mod bench;
 mod chaos;
 mod fastfwd;
 mod fig3;
@@ -62,7 +61,7 @@ pub struct Experiment {
 }
 
 /// Every experiment, in the canonical `run_experiments.sh` order.
-pub static EXPERIMENTS: [Experiment; 18] = [
+pub static EXPERIMENTS: [Experiment; 17] = [
     Experiment {
         name: "table1",
         title: "Table 1: system parameters",
@@ -181,14 +180,6 @@ pub static EXPERIMENTS: [Experiment; 18] = [
         build: analyze::build,
         render: analyze::render,
         artifact: Some(analyze::artifact),
-        supervision: None,
-    },
-    Experiment {
-        name: "bench",
-        title: "Perf baseline: wall-clock and throughput of the hot paths",
-        build: bench::build,
-        render: bench::render,
-        artifact: Some(bench::artifact),
         supervision: None,
     },
     Experiment {

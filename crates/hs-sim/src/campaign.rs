@@ -4,10 +4,11 @@
 //! policies × heat sinks × thresholds (Figs. 3–6, Table 1). A [`Campaign`]
 //! holds that matrix as declarative, labelled [`RunSpec`]s; [`Campaign::run`]
 //! executes it on a `std::thread` worker pool where **each run owns its own
-//! [`Simulator`]** and aggregates per-run [`SimStats`] into a
-//! [`CampaignReport`]. Runs that share a warm-up identity (same workloads,
-//! core, memory, time scale, warm-up length and admission gate) start from
-//! clones of one warmed core, so each distinct warm-up is simulated once.
+//! [`Simulator`](crate::Simulator)** and aggregates per-run [`SimStats`]
+//! into a [`CampaignReport`]. Runs that share a warm-up identity (same
+//! workloads, core, memory, time scale, warm-up length and admission gate)
+//! start from clones of one warmed core, so each distinct warm-up is
+//! simulated once.
 //!
 //! ## Determinism contract
 //!

@@ -12,7 +12,7 @@
 use crate::campaign::PlannedRun;
 use crate::error::SimError;
 use crate::runner::RunSpec;
-use crate::simulator::Simulator;
+use crate::simulator::{unobserved, Simulator};
 use crate::stats::SimStats;
 use hs_cpu::{Cpu, CpuConfig, FetchGate};
 use hs_mem::MemConfig;
@@ -162,11 +162,11 @@ impl Worker<'_> {
         let result = match self.shared.start(id, self.index, &mut waited) {
             Start::Warm(core) => spec
                 .simulator(Some(Arc::unwrap_or_clone(core)))
-                .map(|mut sim| sim.run_measured()),
+                .map(|mut sim| sim.run_measured(unobserved)),
             Start::Cold(ticket) => spec.simulator(None).map(|mut sim| {
                 sim.warm_up();
                 ticket.publish(sim.core(), &mut waited);
-                sim.run_measured()
+                sim.run_measured(unobserved)
             }),
         };
         (result, waited)

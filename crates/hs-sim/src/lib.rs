@@ -73,7 +73,7 @@ pub use error::SimError;
 pub use json::{Json, JsonError};
 pub use os::{OsScheduler, ScheduleOutcome, SchedulerConfig};
 pub use runner::{RunSpec, RunSpecBuilder};
-pub use simulator::Simulator;
+pub use simulator::{Sample, Simulator};
 pub use stats::{SimStats, ThreadBreakdown, ThreadSummary};
 pub use supervise::{
     ChaosEvent, ChaosPlan, DeadlineKind, QuarantinedRun, RetryPolicy, RunOutcome, Supervision,

@@ -22,7 +22,8 @@ use hs_workloads::Workload;
 /// An execution-driven simulation of one OS quantum on the SMT processor.
 ///
 /// Construct with [`Simulator::new`], attach one workload per hardware
-/// context with [`Simulator::attach`], then call [`Simulator::run_quantum`].
+/// context with [`Simulator::attach`], then call [`Simulator::run_quantum`]
+/// (or [`Simulator::try_run_quantum_with`] to watch every monitor sample).
 pub struct Simulator {
     cfg: SimConfig,
     cpu: Cpu,
@@ -37,6 +38,32 @@ pub struct Simulator {
     /// Cycle-0 reports filed by the admission screen.
     admission_reports: Vec<OsReport>,
 }
+
+/// What [`Simulator::try_run_quantum_with`] shows its hook at one monitor
+/// sample, right after the DTM decision.
+#[derive(Debug)]
+pub struct Sample<'a> {
+    /// The sampling instant (a multiple of the monitor sample period).
+    pub cycle: u64,
+    /// Whether this sample ends a sensor interval: the thermal network,
+    /// if any, was just advanced and its sensors read.
+    pub sensor_fresh: bool,
+    /// The thermal network as of the last sensor step; `None` on the ideal
+    /// heat sink.
+    pub thermal: Option<&'a ThermalNetwork>,
+    /// The sample's true access counts (counter faults corrupt only what
+    /// the monitors see).
+    pub counts: &'a AccessMatrix,
+    /// The fetch gates decided for the next span, admission sedation
+    /// applied.
+    pub gate: FetchGate,
+    /// Whether the whole pipeline stalls for the next span.
+    pub global_stall: bool,
+}
+
+/// The hook of every run nobody observes. One shared `fn` item, so the
+/// measured loop is compiled once for all of them.
+pub(crate) fn unobserved(_: &Sample<'_>) {}
 
 /// Adaptive throttle for [`Cpu::idle_bound`] probes.
 ///
@@ -283,8 +310,7 @@ impl Simulator {
     }
 
     /// Aggregate cache-hierarchy statistics since construction (warm-up
-    /// included). Used by `campaign bench` to derive accesses-per-second
-    /// throughput figures.
+    /// included), for accesses-per-second throughput figures.
     #[must_use]
     pub fn mem_stats(&self) -> hs_mem::LevelStats {
         self.cpu.mem_stats()
@@ -326,11 +352,26 @@ impl Simulator {
     ///
     /// Returns [`SimError::NoWorkloads`] if nothing has been attached.
     pub fn try_run_quantum(&mut self) -> Result<SimStats, SimError> {
+        self.try_run_quantum_with(unobserved)
+    }
+
+    /// [`Simulator::try_run_quantum`] that calls `on_sample` at every
+    /// monitor sample of the measured quantum, right after the DTM
+    /// decision. The hook only observes: the returned statistics are
+    /// those of [`Simulator::try_run_quantum`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::NoWorkloads`] if nothing has been attached.
+    pub fn try_run_quantum_with(
+        &mut self,
+        on_sample: impl FnMut(&Sample<'_>),
+    ) -> Result<SimStats, SimError> {
         if self.names.is_empty() {
             return Err(SimError::NoWorkloads);
         }
         self.warm_up();
-        Ok(self.run_measured())
+        Ok(self.run_measured(on_sample))
     }
 
     /// The warm-up phase: caches and predictors, no DTM, no thermal. Its
@@ -344,8 +385,9 @@ impl Simulator {
     }
 
     /// The measured phase: one quantum of pipeline, power, thermal and
-    /// DTM, starting from the core as [`Simulator::warm_up`] left it.
-    pub(crate) fn run_measured(&mut self) -> SimStats {
+    /// DTM, starting from the core as [`Simulator::warm_up`] left it, with
+    /// `on_sample` called at every monitor sample.
+    pub(crate) fn run_measured(&mut self, mut on_sample: impl FnMut(&Sample<'_>)) -> SimStats {
         let nthreads = self.cpu.num_threads();
         let quantum = self.cfg.quantum_cycles;
         let sample = self.cfg.sedation.sample_period_cycles;
@@ -604,6 +646,14 @@ impl Simulator {
                     gate.set(tid, true);
                 }
             }
+            on_sample(&Sample {
+                cycle,
+                sensor_fresh,
+                thermal: self.thermal.as_ref(),
+                counts: &counts,
+                gate,
+                global_stall,
+            });
             // Any DTM state change invalidates the phase profile: activity
             // measured under one gating regime says nothing about the next
             // (e.g. a sedated thread waking re-enters cycle level until a

@@ -240,9 +240,9 @@ fn sedated_thread_waking_mid_interval_stays_cycle_accurate() {
 
 #[test]
 fn aggregated_intervals_keep_the_contract_at_full_cadence() {
-    // The perf-baseline pair (`bench` experiment) runs applu at the
-    // paper's full-fidelity monitor cadence with 64-sample aggregation
-    // (`IntervalConfig::aggregate_samples`): applu's macro-loop spans
+    // Applu at the paper's full-fidelity monitor cadence with 64-sample
+    // aggregation (`IntervalConfig::aggregate_samples`), the shape of
+    // perfbench's `steady_interval` workload: applu's macro-loop spans
     // several 1000-cycle samples, so per-sample matching never locks, but
     // 64-sample aggregates are stationary. The accuracy contract must
     // hold in that configuration too — the thermal guard, not the

@@ -36,26 +36,6 @@ impl fmt::Display for ConfigError {
 
 impl Error for ConfigError {}
 
-/// Which transient integrator [`ThermalNetwork::step`] uses.
-///
-/// [`ThermalNetwork::step`]: crate::ThermalNetwork::step
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Integrator {
-    /// Stability-bounded forward Euler: the reference dynamics. Every
-    /// committed experiment result is produced with this integrator; its
-    /// trajectories are bit-for-bit reproducible.
-    #[default]
-    ForwardEuler,
-    /// Per-node exponential update: each substep moves a node along the
-    /// closed-form solution of its own RC with neighbours frozen, which is
-    /// unconditionally stable and therefore steps well past the Euler
-    /// stability bound. Opt-in speed/accuracy trade: peak temperatures
-    /// track Euler to within a few tenths of a kelvin (differential tests
-    /// enforce ±0.5 K and identical DTM verdicts), but trajectories are
-    /// *not* bit-identical — never use it for committed results.
-    FastExponential,
-}
-
 /// Thermal model configuration.
 ///
 /// Defaults correspond to the paper's Table 1 packaging ("air-cooled, high
@@ -97,9 +77,6 @@ pub struct ThermalConfig {
     /// the paper's 500M-cycle dynamics inside shorter simulations while
     /// preserving every *ratio* (heat-up : cool-down : quantum length).
     pub time_scale: f64,
-    /// Transient integrator selection. [`Integrator::ForwardEuler`] unless
-    /// explicitly opted out.
-    pub integrator: Integrator,
 }
 
 impl Default for ThermalConfig {
@@ -116,7 +93,6 @@ impl Default for ThermalConfig {
             spreader_capacitance: 40.0,
             sink_capacitance: 140.0,
             time_scale: 1.0,
-            integrator: Integrator::default(),
         }
     }
 }

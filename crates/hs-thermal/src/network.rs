@@ -1,7 +1,7 @@
 //! The thermal RC network and its integrator.
 
 use crate::block::{Block, ALL_BLOCKS, NUM_BLOCKS};
-use crate::config::{Integrator, ThermalConfig};
+use crate::config::ThermalConfig;
 use crate::power_vector::PowerVector;
 
 /// Node indices: blocks occupy `0..NUM_BLOCKS`, then spreader, then sink.
@@ -28,9 +28,8 @@ pub struct ThermalNetwork {
     /// loop's additions in the same order (bit-identical trajectories).
     csr: Vec<(usize, f64)>,
     csr_offsets: [usize; NUM_NODES + 1],
-    /// Per-node total incident conductance (ambient included at the sink)
-    /// and its reciprocal; the exponential integrator's fixed-point terms.
-    g_total: [f64; NUM_NODES],
+    /// Reciprocal of each node's total incident conductance (ambient
+    /// included at the sink): the closed form's fixed-point terms.
     inv_g_total: [f64; NUM_NODES],
     /// Conductance from the sink to the (fixed-temperature) ambient.
     g_ambient: f64,
@@ -40,9 +39,6 @@ pub struct ThermalNetwork {
     /// h)`. Sensor-driven callers step with one fixed dt for a whole run,
     /// so the ceil/divide derivation happens once, not per call.
     plan: (f64, u64, f64),
-    /// Per-node decay factors `exp(-h · g_total / C)` for the cached plan
-    /// (used by [`Integrator::FastExponential`] only).
-    fast_decay: [f64; NUM_NODES],
     /// Cached closed-form plan for [`Self::advance_closed_form`]:
     /// `(dt, sweeps, per-node decay factors)`.
     closed_plan: (f64, u64, [f64; NUM_NODES]),
@@ -51,10 +47,11 @@ pub struct ThermalNetwork {
     substeps_taken: u64,
 }
 
-/// How far past the Euler stability bound the exponential integrator may
-/// step: it is unconditionally stable, so its substep count is bounded by
-/// accuracy (frozen-neighbour error), not stability.
-const FAST_DT_FACTOR: f64 = 2.0;
+/// How far past the Euler stability bound one relaxation sweep of
+/// [`ThermalNetwork::advance_closed_form`] may reach: the sweep is
+/// unconditionally stable, so its size is bounded by accuracy
+/// (frozen-neighbour error), not stability.
+const CLOSED_FORM_SWEEP_FACTOR: f64 = 2.0;
 
 /// Sweep-count ceiling for [`ThermalNetwork::advance_closed_form`]. The
 /// closed-form advance is `O(1)` in the advanced duration by construction:
@@ -136,12 +133,10 @@ impl ThermalNetwork {
             edges,
             csr,
             csr_offsets,
-            g_total: g_sum,
             inv_g_total,
             g_ambient,
             max_dt,
             plan: (0.0, 0, 0.0),
-            fast_decay: [1.0; NUM_NODES],
             closed_plan: (0.0, 0, [1.0; NUM_NODES]),
             substeps_taken: 0,
         }
@@ -201,43 +196,18 @@ impl ThermalNetwork {
             return;
         }
         if dt != self.plan.0 {
-            self.replan(dt);
+            let substeps = (dt / self.max_dt).ceil().max(1.0) as u64;
+            self.plan = (dt, substeps, dt / substeps as f64);
         }
         let (_, substeps, h) = self.plan;
-        match self.config.integrator {
-            Integrator::ForwardEuler => {
-                for _ in 0..substeps {
-                    self.euler_substep(h, power);
-                }
-            }
-            Integrator::FastExponential => {
-                for _ in 0..substeps {
-                    self.exp_substep(power);
-                }
-            }
+        for _ in 0..substeps {
+            self.euler_substep(h, power);
         }
         self.substeps_taken += substeps;
     }
 
-    /// Rebuilds the cached substep plan (and, for the exponential
-    /// integrator, the per-node decay factors) for a new `dt`.
-    fn replan(&mut self, dt: f64) {
-        let max_h = match self.config.integrator {
-            Integrator::ForwardEuler => self.max_dt,
-            Integrator::FastExponential => FAST_DT_FACTOR * self.max_dt,
-        };
-        let substeps = (dt / max_h).ceil().max(1.0) as u64;
-        let h = dt / substeps as f64;
-        self.plan = (dt, substeps, h);
-        if self.config.integrator == Integrator::FastExponential {
-            for n in 0..NUM_NODES {
-                self.fast_decay[n] = (-h * self.g_total[n] / self.caps[n]).exp();
-            }
-        }
-    }
-
     /// Total integrator substeps taken since construction. Pure
-    /// instrumentation for throughput accounting (`campaign bench`).
+    /// instrumentation for throughput accounting.
     #[must_use]
     pub fn substeps_taken(&self) -> u64 {
         self.substeps_taken
@@ -270,31 +240,6 @@ impl ThermalNetwork {
         for ((t, f), c) in self.temps.iter_mut().zip(&flow).zip(&self.caps) {
             *t += h * f / c;
         }
-    }
-
-    /// One exponential substep: every node relaxes along the closed-form
-    /// solution of its own RC toward the fixed point implied by its frozen
-    /// neighbours. Unconditionally stable — for very large steps every
-    /// node lands on its frozen-neighbour fixed point and iterating the
-    /// map is a Jacobi sweep converging on the true steady state — so the
-    /// substep bound is set by transient accuracy, not stability.
-    /// `fast_decay` carries the `exp(-h·G/C)` factors for the current plan.
-    fn exp_substep(&mut self, power: &PowerVector) {
-        let t = &self.temps;
-        let mut next = [0.0f64; NUM_NODES];
-        for b in ALL_BLOCKS {
-            next[b.index()] = power.get(b);
-        }
-        next[SINK] += self.g_ambient * self.config.ambient_k;
-        for n in 0..NUM_NODES {
-            let mut num = next[n];
-            for &(other, g) in &self.csr[self.csr_offsets[n]..self.csr_offsets[n + 1]] {
-                num += g * t[other];
-            }
-            let fixed = num * self.inv_g_total[n];
-            next[n] = fixed + (t[n] - fixed) * self.fast_decay[n];
-        }
-        self.temps = next;
     }
 
     /// The pre-optimization integrator, retained verbatim (edge-list flow
@@ -359,10 +304,9 @@ impl ThermalNetwork {
     ///
     /// The interval-mode differential suite (`hs-sim`) holds the
     /// end-to-end peak-temperature drift of this path under its own
-    /// documented tolerance. The method deliberately does not depend on
-    /// [`Integrator`]: cycle-level sensors keep their configured
-    /// integrator, and the closed form is only consulted for spans the
-    /// execution engine has decided are thermally boring.
+    /// documented tolerance. Cycle-level sensors keep [`Self::step`]; the
+    /// closed form is only consulted for spans the execution engine has
+    /// decided are thermally boring.
     ///
     /// # Panics
     ///
@@ -372,7 +316,7 @@ impl ThermalNetwork {
         if dt == 0.0 {
             return;
         }
-        let sweep_h = FAST_DT_FACTOR * self.max_dt;
+        let sweep_h = CLOSED_FORM_SWEEP_FACTOR * self.max_dt;
         if dt > CLOSED_FORM_MAX_SWEEPS as f64 * sweep_h {
             // Long advance: two-time-scale baseline + single-pole form.
             // Package nodes (slow) relax toward the steady baseline with
@@ -795,49 +739,6 @@ mod tests {
             }
             assert_eq!(fast.substeps_taken(), reference.substeps_taken());
         }
-    }
-
-    #[test]
-    fn fast_integrator_tracks_euler_within_half_kelvin() {
-        // The opt-in exponential integrator trades bit-identity for larger
-        // steps; its trajectory must stay within the documented ±0.5 K of
-        // forward Euler through a heat-up/cool-down attack-like cycle.
-        let mut cfg_fast = cfg().with_time_scale(50.0);
-        cfg_fast.integrator = Integrator::FastExponential;
-        let mut fast = ThermalNetwork::new(&cfg_fast);
-        let mut euler = ThermalNetwork::new(&cfg().with_time_scale(50.0));
-        let mut attack = PowerVector::from_fn(|_| 1.0);
-        attack.set(Block::IntReg, 12.0);
-        let idle = PowerVector::from_fn(|_| 0.5);
-        euler.initialize_steady_state(&idle);
-        fast.initialize_steady_state(&idle);
-        let dt = 1e-4; // well past max_dt: exercises the long-step regime
-        let mut peak_fast = [f64::MIN; NUM_BLOCKS];
-        let mut peak_euler = [f64::MIN; NUM_BLOCKS];
-        for phase in 0..6 {
-            let p = if phase % 2 == 0 { &attack } else { &idle };
-            for _ in 0..50 {
-                fast.step(dt, p);
-                euler.step(dt, p);
-                for b in ALL_BLOCKS {
-                    let i = b.index();
-                    peak_fast[i] = peak_fast[i].max(fast.block_temp(b));
-                    peak_euler[i] = peak_euler[i].max(euler.block_temp(b));
-                    // Pointwise the two discretizations skew during the
-                    // steep part of a transient (the lag is proportional to
-                    // the remaining swing at these step sizes); the DTM
-                    // contract is the quasi-equilibrium peak bound below.
-                    let d = (fast.block_temp(b) - euler.block_temp(b)).abs();
-                    assert!(d < 6.0, "{b}: fast diverged {d} K from Euler");
-                }
-            }
-        }
-        for b in ALL_BLOCKS {
-            let d = (peak_fast[b.index()] - peak_euler[b.index()]).abs();
-            assert!(d < 0.5, "{b}: peak differs by {d} K");
-        }
-        // And it genuinely takes fewer substeps over the same span.
-        assert!(fast.substeps_taken() < euler.substeps_taken());
     }
 
     #[test]

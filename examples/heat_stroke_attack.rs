@@ -6,89 +6,46 @@
 //! cargo run --release --example heat_stroke_attack
 //! ```
 
-use heatstroke::cpu::pipeline::FetchGate;
-use heatstroke::cpu::{Cpu, Resource, ThreadId};
-use heatstroke::power::{calibration, PowerModel};
 use heatstroke::prelude::*;
-use heatstroke::thermal::ThermalNetwork;
 
-fn main() {
-    // Build the stack by hand (rather than through `Simulator`) to show
-    // how the layers compose — and to sample a temperature trace.
-    let cfg = SimConfig::scaled(200.0);
-    let mut cpu = Cpu::new(cfg.cpu, cfg.mem);
-    let victim = cpu.attach_thread(Workload::Spec(SpecWorkload::Gcc).program(cfg.time_scale));
-    let attacker = cpu.attach_thread(Workload::Variant2.program(cfg.time_scale));
+fn main() -> Result<(), SimError> {
+    let mut cfg = SimConfig::scaled(200.0);
+    cfg.warmup_cycles = 1_000_000;
+    let mut sim = Simulator::try_new(cfg, PolicyKind::StopAndGo, HeatSink::Realistic)?;
+    sim.attach(Workload::Spec(SpecWorkload::Gcc))?;
+    sim.attach(Workload::Variant2)?;
 
-    // Warm the caches and predictors before tracing.
-    for _ in 0..1_000_000 {
-        cpu.tick(FetchGate::open());
-    }
-    let _ = cpu.take_access_counts();
-
-    let model = PowerModel::new(cfg.energy);
-    let mut net = ThermalNetwork::new(&cfg.thermal);
-    net.initialize_steady_state(&calibration::chip_power(&model, 2.5, 1.0, cfg.freq_hz));
-    let mut policy = StopAndGo::new(cfg.sedation.thresholds);
-
-    let sensor = cfg.sensor_interval_cycles;
-    let dt = sensor as f64 / cfg.freq_hz;
-    let mut stalled = false;
+    // Watch the whole quantum: one point per sensor reading.
     let mut trace: Vec<(u64, f64, bool)> = Vec::new();
+    let stats = sim.try_run_quantum_with(|s| {
+        if let Some(net) = s.thermal.filter(|_| s.sensor_fresh) {
+            trace.push((s.cycle, net.block_temp(Block::IntReg), s.global_stall));
+        }
+    })?;
 
     println!("cycle        int-reg temp   state");
-    for step in 1..=1200u64 {
-        if !stalled {
-            for _ in 0..sensor {
-                cpu.tick(FetchGate::open());
-            }
-        }
-        let counts = cpu.take_access_counts();
-        let power = model.power(&counts, sensor, cfg.freq_hz);
-        net.step(dt, &power);
-        let temps = net.block_temps();
-        let t_reg = temps[Block::IntReg.index()];
-
-        let decision = policy.on_sample(&heatstroke::core::DtmInput {
-            sensor_valid: &hs_core::policy::ALL_SENSORS_VALID,
-            sensor_fresh: true,
-            cycle: step * sensor,
-            block_temps: &temps,
-            counts: &heatstroke::core::BlockCounts::new(),
-            global_stalled: stalled,
-        });
-        stalled = decision.global_stall;
-        trace.push((step * sensor, t_reg, stalled));
-
-        if step % 60 == 0 {
-            let bar = "#".repeat(((t_reg - 344.0).max(0.0) * 3.0) as usize);
-            println!(
-                "{:>9}    {:7.2} K     {} {}",
-                step * sensor,
-                t_reg,
-                if stalled { "STALL" } else { "run  " },
-                bar
-            );
-        }
+    for &(cycle, t_reg, stalled) in trace.iter().step_by(trace.len().div_ceil(25)) {
+        let bar = "#".repeat(((t_reg - 344.0).max(0.0) * 3.0) as usize);
+        println!(
+            "{cycle:>9}    {t_reg:7.2} K     {} {bar}",
+            if stalled { "STALL" } else { "run  " },
+        );
     }
 
     // Episode statistics.
     let episodes = trace.windows(2).filter(|w| !w[0].2 && w[1].2).count();
-    let stall_frac = trace.iter().filter(|(_, _, s)| *s).count() as f64 / trace.len() as f64;
-    let peak = trace.iter().map(|(_, t, _)| *t).fold(f64::MIN, f64::max);
-    println!("\nheat-stroke episodes : {episodes}");
+    let (victim, attacker) = (stats.thread(0), stats.thread(1));
     println!(
-        "peak temperature     : {peak:.2} K (emergency {:.1} K)",
-        cfg.sedation.thresholds.emergency_k
+        "\nheat-stroke episodes : {episodes}\n\
+         peak temperature     : {:.2} K (emergency {:.1} K)\n\
+         fraction stalled     : {:.0}%\n\
+         victim committed     : {} instructions\n\
+         attacker committed   : {} instructions",
+        stats.peak_temps[Block::IntReg.index()],
+        cfg.sedation.thresholds.emergency_k,
+        100.0 * victim.breakdown.stall_fraction(),
+        victim.committed,
+        attacker.committed,
     );
-    println!("fraction stalled     : {:.0}%", 100.0 * stall_frac);
-    println!(
-        "victim committed     : {} instructions",
-        cpu.thread_stats(victim).committed
-    );
-    println!(
-        "attacker committed   : {} instructions",
-        cpu.thread_stats(attacker).committed
-    );
-    let _ = (ThreadId(0), Resource::IntRegFile);
+    Ok(())
 }
