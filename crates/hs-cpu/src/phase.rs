@@ -7,25 +7,45 @@
 //! two halves of that contract:
 //!
 //! * [`PhaseDetector`] watches the per-sample activity ([`PhaseSample`])
-//!   and declares a phase **stable** only after a confirmation window of
-//!   consecutive samples has matched the rolling mean of the window before
-//!   it. Any mismatch — a loop boundary, a thread waking or halting, a
-//!   memory-behaviour shift — resets the streak instantly.
+//!   and declares a phase **stable** when either of two tests holds, with
+//!   W the confirmation window:
+//!   - the *streak* test: W consecutive samples have each matched the
+//!     mean of the samples before it since the last mismatch. Any mismatch
+//!     — a loop boundary, a thread waking or halting, a memory-behaviour
+//!     shift — restarts the streak.
+//!   - the *centered* test: each of the last 2W samples lies within
+//!     tolerance of their common mean. Activity that alternates between
+//!     nearby levels (a streak of low samples, then a high one a little
+//!     over tolerance above it) never completes a streak but passes this
+//!     test, while a large-amplitude duty cycle or a profile shift fails
+//!     it at its first out-of-tolerance sample.
 //! * Once stable, [`PhaseDetector::credit_next`] extrapolates the next
-//!   sample's worth of activity from the measured window. Crediting uses
-//!   Bresenham-style integer interpolation, so over any `n` credited
-//!   samples the total equals the window mean times `n` to the instruction
-//!   — there is no cumulative rounding drift for the DTM's rate monitors
-//!   or the power model to absorb.
+//!   sample's worth of activity from the measured samples: the streak
+//!   window while the streak test holds, otherwise the 2W centered ones.
+//!   Crediting uses Bresenham-style integer interpolation, so over any `n`
+//!   credited samples the total equals the window mean times `n` to the
+//!   instruction — there is no cumulative rounding drift for the DTM's
+//!   rate monitors or the power model to absorb.
 //!
 //! The detector is deliberately conservative: it learns the shortest
-//! stable run it has ever seen complete ([`PhaseDetector::credit_cap`])
+//! stable streak it has ever seen complete ([`PhaseDetector::credit_cap`])
 //! and offers that as an upper bound on consecutive credits, so a
-//! duty-cycled workload (the PR 5 evaders) whose phases keep ending can
-//! never be fast-forwarded far past where its hot phase historically
-//! broke.
+//! duty-cycled workload (the `hs-workloads` evaders) whose phases keep
+//! ending can never be fast-forwarded far past where its hot phase
+//! historically broke.
 
-use crate::resources::{AccessMatrix, ThreadId, ALL_RESOURCES, MAX_THREADS};
+use crate::resources::{AccessMatrix, ThreadId, ALL_RESOURCES, MAX_THREADS, NUM_RESOURCES};
+
+/// Counters per context in a [`Counters`] row: committed instructions,
+/// then one access count per resource.
+const ROW: usize = 1 + NUM_RESOURCES;
+
+/// Counters in one [`PhaseSample`].
+const COUNTERS: usize = MAX_THREADS * ROW;
+
+/// A [`PhaseSample`] flattened to its counters, one [`ROW`] per context,
+/// so the detector's sums and scans are plain array loops.
+type Counters = [u64; COUNTERS];
 
 /// One monitor sample of architectural activity: what every hardware
 /// context did during one DTM sample period.
@@ -72,15 +92,28 @@ impl PhaseSample {
     #[must_use]
     pub fn bresenham_slice(&self, k: u64, n: u64) -> PhaseSample {
         assert!(k < n, "slice {k} of {n} does not exist");
-        let mut out = PhaseSample::zero();
-        for t in 0..MAX_THREADS {
-            out.committed[t] = bresenham(self.committed[t], k, n);
+        Self::from_counters(&self.counters().map(|s| bresenham(s, k, n)))
+    }
+
+    fn counters(&self) -> Counters {
+        let mut out = [0; COUNTERS];
+        for (t, row) in out.chunks_exact_mut(ROW).enumerate() {
             let tid = ThreadId(t as u8);
-            for r in ALL_RESOURCES {
-                let c = bresenham(self.counts.get(tid, r), k, n);
-                if c > 0 {
-                    out.counts.add(tid, r, c);
-                }
+            row[0] = self.committed[t];
+            for (c, r) in row[1..].iter_mut().zip(ALL_RESOURCES) {
+                *c = self.counts.get(tid, r);
+            }
+        }
+        out
+    }
+
+    fn from_counters(counters: &Counters) -> Self {
+        let mut out = PhaseSample::zero();
+        for (t, row) in counters.chunks_exact(ROW).enumerate() {
+            let tid = ThreadId(t as u8);
+            out.committed[t] = row[0];
+            for (&c, r) in row[1..].iter().zip(ALL_RESOURCES) {
+                out.counts.add(tid, r, c);
             }
         }
         out
@@ -97,7 +130,8 @@ impl Default for PhaseSample {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseDetectorConfig {
     /// Consecutive matching samples required before the phase counts as
-    /// stable (and doubles as the rolling-window length).
+    /// stable (and doubles as the rolling-window length; the centered
+    /// test looks at twice as many samples).
     pub confirm_samples: u32,
     /// Relative tolerance on each counter against the window mean.
     pub rel_tol: f64,
@@ -123,19 +157,26 @@ impl Default for PhaseDetectorConfig {
 #[derive(Debug, Clone)]
 pub struct PhaseDetector {
     cfg: PhaseDetectorConfig,
-    /// The rolling window of matched samples, oldest first. Bounded by
-    /// `cfg.confirm_samples`.
-    window: Vec<PhaseSample>,
-    /// Consecutive samples that matched the rolling mean.
-    matched: u32,
-    /// Bresenham position within the current credit run; reset whenever
-    /// the window contents change so each run interpolates one fixed mean.
+    /// The last `2 × confirm_samples` observations since the last reset,
+    /// as a ring: once full, `history[next]` is the oldest.
+    history: Vec<Counters>,
+    /// The slot the next observation is written to.
+    next: usize,
+    /// Per-counter sums over `history`.
+    history_sums: Counters,
+    /// Per-counter sums over the streak window.
+    streak_sums: Counters,
+    /// Whether the centered test holds; only evaluated while the streak
+    /// test does not.
+    centered: bool,
+    /// Bresenham position within the current credit run; reset by every
+    /// observation so each run interpolates one fixed mean.
     credit_pos: u64,
-    /// Observed samples in the current phase (the match streak plus the
-    /// seeding sample).
+    /// Observed samples in the current streak: the seeding sample plus
+    /// the consecutive matches after it (0 after a reset).
     run_len: u64,
-    /// Shortest *completed* stable run seen so far, in samples
-    /// (`u64::MAX` until a stable phase has ended).
+    /// Shortest *completed* stable streak seen so far, in samples
+    /// (`u64::MAX` until one has ended).
     min_run: u64,
 }
 
@@ -155,24 +196,28 @@ impl PhaseDetector {
         );
         PhaseDetector {
             cfg,
-            window: Vec::with_capacity(cfg.confirm_samples as usize),
-            matched: 0,
+            history: Vec::with_capacity(2 * cfg.confirm_samples as usize),
+            next: 0,
+            history_sums: [0; COUNTERS],
+            streak_sums: [0; COUNTERS],
+            centered: false,
             credit_pos: 0,
             run_len: 0,
             min_run: u64::MAX,
         }
     }
 
-    /// Whether the current phase has survived the confirmation window.
+    /// Whether the current phase has passed the streak or the centered
+    /// test.
     #[must_use]
     pub fn is_stable(&self) -> bool {
-        self.matched >= self.cfg.confirm_samples
+        self.streak_stable() || self.centered
     }
 
     /// An upper bound on consecutive credited samples, learned from the
-    /// shortest stable run that has ever completed (half of it, at least
-    /// one). `u64::MAX` until a stable phase has been seen to end — the
-    /// caller composes this with its own fixed skip allowance.
+    /// shortest stable streak that has ever completed (half of it, at
+    /// least one). `u64::MAX` until a stable streak has been seen to end —
+    /// the caller composes this with its own fixed skip allowance.
     #[must_use]
     pub fn credit_cap(&self) -> u64 {
         if self.min_run == u64::MAX {
@@ -189,34 +234,56 @@ impl PhaseDetector {
     /// would bias the rolling mean low (the engine drops those on the
     /// floor; see DESIGN.md §3d).
     pub fn observe(&mut self, sample: &PhaseSample) -> bool {
-        if !self.window.is_empty() && self.matches_window(sample) {
-            self.matched = self.matched.saturating_add(1);
-            self.run_len += 1;
-            if self.window.len() == self.cfg.confirm_samples as usize {
-                self.window.remove(0);
+        let obs = sample.counters();
+        let window = self.cfg.confirm_samples as usize;
+        let cap = 2 * window;
+        if self.run_len > 0 && self.matches_streak(&obs) {
+            if self.streak_len() == window {
+                // The streak window is the newest `window` observations
+                // of the history; drop its oldest.
+                let oldest = &self.history[(self.next + cap - window) % cap];
+                for (s, &o) in self.streak_sums.iter_mut().zip(oldest) {
+                    *s -= o;
+                }
             }
-            self.window.push(*sample);
-            self.credit_pos = 0;
-            return self.is_stable();
+            self.run_len += 1;
+        } else {
+            if self.streak_stable() {
+                self.min_run = self.min_run.min(self.run_len);
+            }
+            self.streak_sums = [0; COUNTERS];
+            self.run_len = 1;
         }
-        if self.is_stable() {
-            self.min_run = self.min_run.min(self.run_len);
+        for (s, &o) in self.streak_sums.iter_mut().zip(&obs) {
+            *s += o;
         }
-        self.window.clear();
-        self.window.push(*sample);
-        self.matched = 0;
-        self.run_len = 1;
+        if self.history.len() < cap {
+            self.history.push(obs);
+        } else {
+            for (s, &o) in self.history_sums.iter_mut().zip(&self.history[self.next]) {
+                *s -= o;
+            }
+            self.history[self.next] = obs;
+        }
+        for (s, &o) in self.history_sums.iter_mut().zip(&obs) {
+            *s += o;
+        }
+        self.next = (self.next + 1) % cap;
         self.credit_pos = 0;
-        false
+        self.centered = !self.streak_stable() && self.centered_stable();
+        self.is_stable()
     }
 
-    /// Forgets the current phase (window, streak, credit position) without
-    /// touching the learned minimum run length. The interval engine calls
-    /// this whenever the DTM state changes: activity measured under one
-    /// gating regime says nothing about the next.
+    /// Forgets the current phase (history, streak, credit position)
+    /// without touching the learned minimum run length. The interval
+    /// engine calls this whenever the DTM state changes: activity measured
+    /// under one gating regime says nothing about the next.
     pub fn reset(&mut self) {
-        self.window.clear();
-        self.matched = 0;
+        self.history.clear();
+        self.next = 0;
+        self.history_sums = [0; COUNTERS];
+        self.streak_sums = [0; COUNTERS];
+        self.centered = false;
         self.credit_pos = 0;
         self.run_len = 0;
     }
@@ -227,50 +294,70 @@ impl PhaseDetector {
     /// to `s` over the `n` window samples, credit number `k` contributes
     /// `⌊s·(k+1)/n⌋ − ⌊s·k/n⌋`, so any run of `m` credits totals exactly
     /// `⌊s·m/n⌋` — the credited rate tracks the measured mean without
-    /// cumulative drift.
+    /// cumulative drift. The window is the streak window while the streak
+    /// test holds, and the centered test's 2W samples otherwise.
     ///
     /// # Panics
     ///
     /// Panics if the detector is not stable.
     pub fn credit_next(&mut self) -> PhaseSample {
         assert!(self.is_stable(), "cannot credit an unconfirmed phase");
-        let n = self.window.len() as u64;
+        let (sums, n) = if self.streak_stable() {
+            (&self.streak_sums, self.streak_len())
+        } else {
+            (&self.history_sums, self.history.len())
+        };
         let k = self.credit_pos;
-        let mut out = PhaseSample::zero();
-        for t in 0..MAX_THREADS {
-            let s: u64 = self.window.iter().map(|w| w.committed[t]).sum();
-            out.committed[t] = bresenham(s, k, n);
-            let tid = ThreadId(t as u8);
-            for r in ALL_RESOURCES {
-                let s: u64 = self.window.iter().map(|w| w.counts.get(tid, r)).sum();
-                let c = bresenham(s, k, n);
-                if c > 0 {
-                    out.counts.add(tid, r, c);
-                }
-            }
-        }
         self.credit_pos += 1;
-        out
+        PhaseSample::from_counters(&sums.map(|s| bresenham(s, k, n as u64)))
     }
 
-    /// Whether `sample` matches the rolling mean of the current window on
-    /// every counter.
-    fn matches_window(&self, sample: &PhaseSample) -> bool {
-        let n = self.window.len() as f64;
-        for t in 0..MAX_THREADS {
-            let sum: u64 = self.window.iter().map(|w| w.committed[t]).sum();
-            if !self.within_tol(sample.committed[t], sum as f64 / n) {
-                return false;
-            }
-            let tid = ThreadId(t as u8);
-            for r in ALL_RESOURCES {
-                let sum: u64 = self.window.iter().map(|w| w.counts.get(tid, r)).sum();
-                if !self.within_tol(sample.counts.get(tid, r), sum as f64 / n) {
-                    return false;
-                }
+    /// The streak test: at least `confirm_samples` consecutive matches
+    /// after the seeding sample.
+    fn streak_stable(&self) -> bool {
+        self.run_len > u64::from(self.cfg.confirm_samples)
+    }
+
+    /// Length of the streak window: the newest observations of the current
+    /// streak, at most `confirm_samples` of them.
+    fn streak_len(&self) -> usize {
+        self.run_len.min(u64::from(self.cfg.confirm_samples)) as usize
+    }
+
+    /// Whether `obs` matches the streak window's mean on every counter.
+    fn matches_streak(&self, obs: &Counters) -> bool {
+        let n = self.streak_len() as f64;
+        obs.iter()
+            .zip(&self.streak_sums)
+            .all(|(&c, &sum)| self.within_tol(c, sum as f64 / n))
+    }
+
+    /// The centered test: the history is full and every observation in it
+    /// lies within tolerance of the history's mean on every counter. The
+    /// tolerance grows monotonically away from the mean, so testing each
+    /// counter's minimum and maximum is enough.
+    fn centered_stable(&self) -> bool {
+        let n = self.history.len();
+        if n < 2 * self.cfg.confirm_samples as usize {
+            return false;
+        }
+        let mut lo = [u64::MAX; COUNTERS];
+        let mut hi = [0; COUNTERS];
+        for h in &self.history {
+            for ((l, u), &c) in lo.iter_mut().zip(&mut hi).zip(h) {
+                *l = (*l).min(c);
+                *u = (*u).max(c);
             }
         }
-        true
+        let n = n as f64;
+        lo.iter()
+            .zip(&hi)
+            .zip(&self.history_sums)
+            .all(|((&lo, &hi), &sum)| {
+                // A constant counter is its own mean.
+                let mean = sum as f64 / n;
+                lo == hi || (self.within_tol(lo, mean) && self.within_tol(hi, mean))
+            })
     }
 
     fn within_tol(&self, count: u64, mean: f64) -> bool {
@@ -353,6 +440,54 @@ mod tests {
         assert!(d.is_stable());
         assert!(!d.observe(&sample(300, 60)));
         assert!(!d.is_stable());
+    }
+
+    /// Observation `i` of a two-level square wave: 4 samples high, then 5
+    /// samples 12.5 % lower, repeating.
+    fn square_wave(i: usize) -> PhaseSample {
+        if i % 9 < 4 {
+            sample(800, 1600)
+        } else {
+            sample(700, 1400)
+        }
+    }
+
+    #[test]
+    fn bounded_two_level_wave_confirms_by_its_window_mean() {
+        let mut d = detector();
+        // Every level switch misses the streak window's mean (a high
+        // sample is 14 % above a run of lows), so no streak ever reaches
+        // the window. Every 16 consecutive samples, though, lie within
+        // tolerance of their own mean.
+        for i in 0..90 {
+            assert_eq!(d.observe(&square_wave(i)), i >= 15, "observation {i}");
+        }
+        assert_eq!(d.credit_cap(), u64::MAX);
+        // Only the centered test holds, so credits interpolate the last 16
+        // observations (74..=89: 6 high, 10 low) exactly.
+        let (mut c_tot, mut r_tot) = (0u64, 0u64);
+        for _ in 0..16 {
+            let s = d.credit_next();
+            c_tot += s.committed[0];
+            r_tot += s.counts.get(ThreadId(0), Resource::IntRegFile);
+        }
+        assert_eq!((c_tot, r_tot), (11_800, 23_600));
+    }
+
+    #[test]
+    fn an_out_of_tolerance_sample_breaks_a_centered_phase() {
+        let mut d = detector();
+        for i in 0..40 {
+            d.observe(&square_wave(i));
+        }
+        assert!(d.is_stable());
+        assert!(!d.observe(&sample(1000, 2000)));
+        // The phase stays broken while the outlier is among the last 16
+        // observations, and confirms again once it has left them.
+        for i in 41..56 {
+            assert!(!d.observe(&square_wave(i)), "observation {i}");
+        }
+        assert!(d.observe(&square_wave(56)));
     }
 
     #[test]

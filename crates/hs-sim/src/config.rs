@@ -77,7 +77,8 @@ impl ExecMode {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalConfig {
     /// Consecutive matching monitor samples required before a phase counts
-    /// as stable (the phase detector's confirmation window).
+    /// as stable (the phase detector's confirmation window; its centered
+    /// test looks at twice as many).
     pub confirm_samples: u32,
     /// Most consecutive samples that may be fast-forwarded before a
     /// cycle-accurate verification sample is forced, bounding how stale
@@ -326,9 +327,10 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error if any sub-configuration is invalid, if the sensor
-    /// interval is not a multiple of the monitor sampling period, or if the
-    /// quantum is shorter than one sensor interval.
+    /// Returns an error if any sub-configuration or the sensor fault plan
+    /// is invalid, if the time scale is not a finite number ≥ 1, if the
+    /// sensor interval is not a multiple of the monitor sampling period,
+    /// or if the quantum is shorter than one sensor interval.
     pub fn try_validate(&self) -> Result<(), ConfigError> {
         self.cpu
             .try_validate()
@@ -338,10 +340,17 @@ impl SimConfig {
             .map_err(|e| ConfigError::new("mem", e.to_string()))?;
         self.sedation.try_validate()?;
         self.sensors.try_validate()?;
+        self.faults.sensors.try_validate()?;
         self.rate_cap.try_validate()?;
         self.interval.try_validate()?;
         if self.freq_hz.is_nan() || self.freq_hz <= 0.0 {
             return Err(ConfigError::new("freq_hz", "frequency must be positive"));
+        }
+        if !(self.time_scale.is_finite() && self.time_scale >= 1.0) {
+            return Err(ConfigError::new(
+                "time_scale",
+                "time scale must be a finite number >= 1",
+            ));
         }
         if !self
             .sensor_interval_cycles
@@ -368,9 +377,7 @@ impl SimConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any sub-configuration is invalid, if the sensor interval
-    /// is not a multiple of the monitor sampling period, or if the quantum
-    /// is shorter than one sensor interval.
+    /// Panics wherever [`SimConfig::try_validate`] returns an error.
     pub fn validate(&self) {
         if let Err(e) = self.try_validate() {
             panic!("{e}");
@@ -478,6 +485,42 @@ mod tests {
         let mut c = SimConfig::paper();
         c.interval.confirm_samples = 0;
         c.validate();
+    }
+
+    #[test]
+    fn non_finite_sensor_fault_is_a_config_error() {
+        use crate::{HeatSink, SimError, Simulator};
+        use hs_thermal::{SensorFault, SensorFaultKind};
+        let mut c = SimConfig::scaled(400.0);
+        c.faults.sensors = SensorFaultPlan::none().with(SensorFault::permanent(
+            Block::IntReg,
+            SensorFaultKind::StuckAt { value_k: f64::NAN },
+            0,
+        ));
+        let Err(err) = Simulator::try_new(c, PolicyKind::FaultTolerant, HeatSink::Realistic) else {
+            panic!("a NaN stuck-at reading must be rejected");
+        };
+        assert!(matches!(err, SimError::Config(_)), "got {err}");
+    }
+
+    #[test]
+    fn time_scale_below_one_or_nan_is_a_config_error() {
+        use crate::{HeatSink, SimError, Simulator};
+        for time_scale in [0.5, f64::NAN] {
+            let c = SimConfig {
+                time_scale,
+                ..SimConfig::scaled(400.0)
+            };
+            let Err(err) =
+                Simulator::try_new(c, PolicyKind::SelectiveSedation, HeatSink::Realistic)
+            else {
+                panic!("time scale {time_scale} must be rejected");
+            };
+            assert!(
+                matches!(err, SimError::Config(_)),
+                "{time_scale}: got {err}"
+            );
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! runs with the same plan are byte-identical.
 
 use crate::block::{Block, NUM_BLOCKS};
+use crate::config::ConfigError;
 
 /// Maximum number of scheduled fault windows in one plan.
 pub const MAX_SENSOR_FAULTS: usize = 8;
@@ -163,6 +164,36 @@ impl SensorFaultPlan {
     pub fn len(&self) -> usize {
         self.entries.iter().flatten().count()
     }
+
+    /// Validates every scheduled fault.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on a non-finite stuck-at value, drift rate or
+    /// spike amplitude: each would reach the policies as a reading.
+    pub fn try_validate(&self) -> Result<(), ConfigError> {
+        for f in self.faults() {
+            match f.kind {
+                SensorFaultKind::StuckAt { value_k } if !value_k.is_finite() => {
+                    return Err(ConfigError::new("value_k", "stuck-at value must be finite"));
+                }
+                SensorFaultKind::Drift { rate_k_per_read } if !rate_k_per_read.is_finite() => {
+                    return Err(ConfigError::new(
+                        "rate_k_per_read",
+                        "drift rate must be finite",
+                    ));
+                }
+                SensorFaultKind::Spike { amplitude_k, .. } if !amplitude_k.is_finite() => {
+                    return Err(ConfigError::new(
+                        "amplitude_k",
+                        "spike amplitude must be finite",
+                    ));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Default for SensorFaultPlan {
@@ -257,6 +288,39 @@ mod tests {
                 SensorFaultKind::Dropout,
                 0,
             ));
+        }
+    }
+
+    #[test]
+    fn non_finite_fault_values_are_rejected() {
+        let plan =
+            |kind| SensorFaultPlan::none().with(SensorFault::permanent(Block::IntReg, kind, 0));
+        assert!(plan(SensorFaultKind::StuckAt { value_k: 345.0 })
+            .try_validate()
+            .is_ok());
+        for (kind, field) in [
+            (SensorFaultKind::StuckAt { value_k: f64::NAN }, "value_k"),
+            (
+                SensorFaultKind::StuckAt {
+                    value_k: f64::INFINITY,
+                },
+                "value_k",
+            ),
+            (
+                SensorFaultKind::Drift {
+                    rate_k_per_read: f64::NEG_INFINITY,
+                },
+                "rate_k_per_read",
+            ),
+            (
+                SensorFaultKind::Spike {
+                    amplitude_k: f64::NAN,
+                    one_in: 3,
+                },
+                "amplitude_k",
+            ),
+        ] {
+            assert_eq!(plan(kind).try_validate().unwrap_err().field(), field);
         }
     }
 

@@ -139,9 +139,11 @@ impl SensorBank {
     ///
     /// # Errors
     ///
-    /// Returns an error if the sensor configuration is invalid.
+    /// Returns an error if the sensor configuration or the fault plan is
+    /// invalid.
     pub fn try_with_faults(cfg: SensorConfig, plan: SensorFaultPlan) -> Result<Self, ConfigError> {
         cfg.try_validate()?;
+        plan.try_validate()?;
         Ok(SensorBank {
             cfg,
             rng: XorShift64::new(cfg.seed.max(1)),
