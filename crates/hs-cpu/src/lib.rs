@@ -59,7 +59,7 @@ pub mod thread;
 pub use bpred::BranchPredictor;
 pub use config::{CpuConfig, FetchPolicy};
 pub use decode::{ExecMeta, InstMeta};
-pub use phase::{PhaseDetector, PhaseDetectorConfig, PhaseSample};
+pub use phase::{IntervalDriver, PhaseSample};
 pub use pipeline::{Cpu, FetchGate};
 pub use resources::{
     fu_resource, AccessMatrix, Resource, ThreadId, ALL_RESOURCES, MAX_THREADS, NUM_RESOURCES,

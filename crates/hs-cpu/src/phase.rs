@@ -3,12 +3,16 @@
 //! The interval engine (`hs-sim`, DESIGN.md §3d) fast-forwards through
 //! stretches where every hardware context has settled into a steady
 //! phase: committed-instruction and per-resource access rates that repeat,
-//! sample after sample, within a small tolerance. This module provides the
+//! sample after sample, within a small tolerance. `hs-sim` decides whether
+//! a sample period may be credited at all (no gate, no stall, every block
+//! cold); [`IntervalDriver`] decides the rest — confirmation, aggregation,
+//! verification cadence and the post-squash refill — and applies each
+//! credit through [`Cpu::fast_forward`]. Its phase detector provides the
 //! two halves of that contract:
 //!
-//! * [`PhaseDetector`] watches the per-sample activity ([`PhaseSample`])
-//!   and declares a phase **stable** when either of two tests holds, with
-//!   W the confirmation window:
+//! * It watches the per-sample activity ([`PhaseSample`]) and declares a
+//!   phase **stable** when either of two tests holds, with W the
+//!   confirmation window (`CONFIRM_SAMPLES`):
 //!   - the *streak* test: W consecutive samples have each matched the
 //!     mean of the samples before it since the last mismatch. Any mismatch
 //!     — a loop boundary, a thread waking or halting, a memory-behaviour
@@ -19,21 +23,21 @@
 //!     over tolerance above it) never completes a streak but passes this
 //!     test, while a large-amplitude duty cycle or a profile shift fails
 //!     it at its first out-of-tolerance sample.
-//! * Once stable, [`PhaseDetector::credit_next`] extrapolates the next
-//!   sample's worth of activity from the measured samples: the streak
-//!   window while the streak test holds, otherwise the 2W centered ones.
-//!   Crediting uses Bresenham-style integer interpolation, so over any `n`
-//!   credited samples the total equals the window mean times `n` to the
-//!   instruction — there is no cumulative rounding drift for the DTM's
-//!   rate monitors or the power model to absorb.
+//! * Once stable, it extrapolates the next sample's worth of activity
+//!   from the measured samples: the streak window while the streak test
+//!   holds, otherwise the 2W centered ones. Crediting uses Bresenham-style
+//!   integer interpolation, so over any `n` credited samples the total
+//!   equals the window mean times `n` to the instruction — there is no
+//!   cumulative rounding drift for the DTM's rate monitors or the power
+//!   model to absorb.
 //!
 //! The detector is deliberately conservative: it learns the shortest
-//! stable streak it has ever seen complete ([`PhaseDetector::credit_cap`])
-//! and offers that as an upper bound on consecutive credits, so a
-//! duty-cycled workload (the `hs-workloads` evaders) whose phases keep
-//! ending can never be fast-forwarded far past where its hot phase
-//! historically broke.
+//! stable streak it has ever seen complete and offers half of it as an
+//! upper bound on consecutive credits, so a duty-cycled workload (the
+//! `hs-workloads` evaders) whose phases keep ending can never be
+//! fast-forwarded far past where its hot phase historically broke.
 
+use crate::pipeline::Cpu;
 use crate::resources::{AccessMatrix, ThreadId, ALL_RESOURCES, MAX_THREADS, NUM_RESOURCES};
 
 /// Counters per context in a [`Counters`] row: committed instructions,
@@ -46,6 +50,22 @@ const COUNTERS: usize = MAX_THREADS * ROW;
 /// A [`PhaseSample`] flattened to its counters, one [`ROW`] per context,
 /// so the detector's sums and scans are plain array loops.
 type Counters = [u64; COUNTERS];
+
+/// Consecutive matching observations that confirm a phase (W); the
+/// centered test looks at 2W.
+const CONFIRM_SAMPLES: usize = 8;
+
+/// Relative tolerance on each counter against the window mean.
+const REL_TOL: f64 = 0.10;
+
+/// Absolute slack (counts per observation) added to the tolerance, so tiny
+/// counters are not held to a meaninglessly tight relative bound.
+const ABS_SLACK: f64 = 12.0;
+
+/// Most consecutive credited observations before a measured verification
+/// observation is forced, bounding how stale the extrapolated profile can
+/// get.
+const MAX_SKIP_SAMPLES: u64 = 15;
 
 /// One monitor sample of architectural activity: what every hardware
 /// context did during one DTM sample period.
@@ -67,12 +87,9 @@ impl PhaseSample {
         }
     }
 
-    /// Accumulates `other` into `self` counter by counter. The interval
-    /// engine uses this to fold several consecutive monitor samples into
-    /// one *aggregate* observation when the workload's loop structure is
-    /// longer than a single sample period (see
-    /// `IntervalConfig::aggregate_samples` in `hs-sim`).
-    pub fn merge(&mut self, other: &PhaseSample) {
+    /// Accumulates `other` into `self` counter by counter, folding
+    /// consecutive monitor samples into one aggregate observation.
+    fn merge(&mut self, other: &PhaseSample) {
         for (acc, c) in self.committed.iter_mut().zip(other.committed) {
             *acc += c;
         }
@@ -82,15 +99,13 @@ impl PhaseSample {
     /// The `k`-th of `n` drift-free integer shares of this sample: every
     /// counter is split with the same Bresenham rounding as
     /// [`PhaseDetector::credit_next`], so summing all `n` slices
-    /// reconstructs the sample exactly. The interval engine uses this to
-    /// spread an aggregate credit back over its constituent sample
-    /// periods.
+    /// reconstructs the sample exactly. This spreads an aggregate credit
+    /// back over its constituent sample periods.
     ///
     /// # Panics
     ///
     /// Panics if `k >= n` (there is no such slice).
-    #[must_use]
-    pub fn bresenham_slice(&self, k: u64, n: u64) -> PhaseSample {
+    fn bresenham_slice(&self, k: u64, n: u64) -> PhaseSample {
         assert!(k < n, "slice {k} of {n} does not exist");
         Self::from_counters(&self.counters().map(|s| bresenham(s, k, n)))
     }
@@ -120,44 +135,13 @@ impl PhaseSample {
     }
 }
 
-impl Default for PhaseSample {
-    fn default() -> Self {
-        Self::zero()
-    }
-}
-
-/// Tuning knobs for [`PhaseDetector`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhaseDetectorConfig {
-    /// Consecutive matching samples required before the phase counts as
-    /// stable (and doubles as the rolling-window length; the centered
-    /// test looks at twice as many samples).
-    pub confirm_samples: u32,
-    /// Relative tolerance on each counter against the window mean.
-    pub rel_tol: f64,
-    /// Absolute slack (counts per sample) added to the tolerance, so tiny
-    /// counters are not held to a meaninglessly tight relative bound.
-    pub abs_slack: u64,
-}
-
-impl Default for PhaseDetectorConfig {
-    fn default() -> Self {
-        PhaseDetectorConfig {
-            confirm_samples: 8,
-            rel_tol: 0.10,
-            abs_slack: 12,
-        }
-    }
-}
-
 /// Watches per-sample activity and reports when execution has entered a
 /// stable phase whose profile is safe to extrapolate.
 ///
 /// See the [module docs](self) for the detection and crediting contract.
-#[derive(Debug, Clone)]
-pub struct PhaseDetector {
-    cfg: PhaseDetectorConfig,
-    /// The last `2 × confirm_samples` observations since the last reset,
+#[derive(Debug)]
+struct PhaseDetector {
+    /// The last `2 × CONFIRM_SAMPLES` observations since the last reset,
     /// as a ring: once full, `history[next]` is the oldest.
     history: Vec<Counters>,
     /// The slot the next observation is written to.
@@ -181,22 +165,9 @@ pub struct PhaseDetector {
 }
 
 impl PhaseDetector {
-    /// Creates a detector with the given tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `confirm_samples` is zero or `rel_tol` is negative or not
-    /// finite.
-    #[must_use]
-    pub fn new(cfg: PhaseDetectorConfig) -> Self {
-        assert!(cfg.confirm_samples > 0, "confirmation window must be > 0");
-        assert!(
-            cfg.rel_tol.is_finite() && cfg.rel_tol >= 0.0,
-            "relative tolerance must be finite and non-negative"
-        );
+    fn new() -> Self {
         PhaseDetector {
-            cfg,
-            history: Vec::with_capacity(2 * cfg.confirm_samples as usize),
+            history: Vec::with_capacity(2 * CONFIRM_SAMPLES),
             next: 0,
             history_sums: [0; COUNTERS],
             streak_sums: [0; COUNTERS],
@@ -209,17 +180,15 @@ impl PhaseDetector {
 
     /// Whether the current phase has passed the streak or the centered
     /// test.
-    #[must_use]
-    pub fn is_stable(&self) -> bool {
+    fn is_stable(&self) -> bool {
         self.streak_stable() || self.centered
     }
 
     /// An upper bound on consecutive credited samples, learned from the
     /// shortest stable streak that has ever completed (half of it, at
     /// least one). `u64::MAX` until a stable streak has been seen to end —
-    /// the caller composes this with its own fixed skip allowance.
-    #[must_use]
-    pub fn credit_cap(&self) -> u64 {
+    /// the driver composes this with `MAX_SKIP_SAMPLES`.
+    fn credit_cap(&self) -> u64 {
         if self.min_run == u64::MAX {
             u64::MAX
         } else {
@@ -231,11 +200,11 @@ impl PhaseDetector {
     /// the observation. Credited (extrapolated) samples must never be fed
     /// back — they would confirm themselves — and neither must samples
     /// taken while the pipeline refills after an interval squash, which
-    /// would bias the rolling mean low (the engine drops those on the
+    /// would bias the rolling mean low (the driver drops those on the
     /// floor; see DESIGN.md §3d).
-    pub fn observe(&mut self, sample: &PhaseSample) -> bool {
+    fn observe(&mut self, sample: &PhaseSample) -> bool {
         let obs = sample.counters();
-        let window = self.cfg.confirm_samples as usize;
+        let window = CONFIRM_SAMPLES;
         let cap = 2 * window;
         if self.run_len > 0 && self.matches_streak(&obs) {
             if self.streak_len() == window {
@@ -275,10 +244,8 @@ impl PhaseDetector {
     }
 
     /// Forgets the current phase (history, streak, credit position)
-    /// without touching the learned minimum run length. The interval
-    /// engine calls this whenever the DTM state changes: activity measured
-    /// under one gating regime says nothing about the next.
-    pub fn reset(&mut self) {
+    /// without touching the learned minimum run length.
+    fn reset(&mut self) {
         self.history.clear();
         self.next = 0;
         self.history_sums = [0; COUNTERS];
@@ -300,7 +267,7 @@ impl PhaseDetector {
     /// # Panics
     ///
     /// Panics if the detector is not stable.
-    pub fn credit_next(&mut self) -> PhaseSample {
+    fn credit_next(&mut self) -> PhaseSample {
         assert!(self.is_stable(), "cannot credit an unconfirmed phase");
         let (sums, n) = if self.streak_stable() {
             (&self.streak_sums, self.streak_len())
@@ -312,16 +279,16 @@ impl PhaseDetector {
         PhaseSample::from_counters(&sums.map(|s| bresenham(s, k, n as u64)))
     }
 
-    /// The streak test: at least `confirm_samples` consecutive matches
+    /// The streak test: at least `CONFIRM_SAMPLES` consecutive matches
     /// after the seeding sample.
     fn streak_stable(&self) -> bool {
-        self.run_len > u64::from(self.cfg.confirm_samples)
+        self.run_len > CONFIRM_SAMPLES as u64
     }
 
     /// Length of the streak window: the newest observations of the current
-    /// streak, at most `confirm_samples` of them.
+    /// streak, at most `CONFIRM_SAMPLES` of them.
     fn streak_len(&self) -> usize {
-        self.run_len.min(u64::from(self.cfg.confirm_samples)) as usize
+        self.run_len.min(CONFIRM_SAMPLES as u64) as usize
     }
 
     /// Whether `obs` matches the streak window's mean on every counter.
@@ -329,7 +296,7 @@ impl PhaseDetector {
         let n = self.streak_len() as f64;
         obs.iter()
             .zip(&self.streak_sums)
-            .all(|(&c, &sum)| self.within_tol(c, sum as f64 / n))
+            .all(|(&c, &sum)| within_tol(c, sum as f64 / n))
     }
 
     /// The centered test: the history is full and every observation in it
@@ -338,7 +305,7 @@ impl PhaseDetector {
     /// counter's minimum and maximum is enough.
     fn centered_stable(&self) -> bool {
         let n = self.history.len();
-        if n < 2 * self.cfg.confirm_samples as usize {
+        if n < 2 * CONFIRM_SAMPLES {
             return false;
         }
         let mut lo = [u64::MAX; COUNTERS];
@@ -356,15 +323,15 @@ impl PhaseDetector {
             .all(|((&lo, &hi), &sum)| {
                 // A constant counter is its own mean.
                 let mean = sum as f64 / n;
-                lo == hi || (self.within_tol(lo, mean) && self.within_tol(hi, mean))
+                lo == hi || (within_tol(lo, mean) && within_tol(hi, mean))
             })
     }
+}
 
-    fn within_tol(&self, count: u64, mean: f64) -> bool {
-        let c = count as f64;
-        let tol = self.cfg.abs_slack as f64 + self.cfg.rel_tol * c.max(mean);
-        (c - mean).abs() <= tol
-    }
+fn within_tol(count: u64, mean: f64) -> bool {
+    let c = count as f64;
+    let tol = ABS_SLACK + REL_TOL * c.max(mean);
+    (c - mean).abs() <= tol
 }
 
 /// The `k`-th term of the drift-free integer interpolation of `s/n`.
@@ -372,10 +339,141 @@ fn bresenham(s: u64, k: u64, n: u64) -> u64 {
     s * (k + 1) / n - s * k / n
 }
 
+/// Interval mode's phase state for one measured quantum: the detector,
+/// the aggregate being measured or credited, the skip budget and the
+/// post-squash refill. The simulator decides only whether a sample period
+/// is eligible (no gate, no stall, every block cold); the driver decides
+/// whether an eligible one is credited.
+#[derive(Debug)]
+pub struct IntervalDriver {
+    detector: PhaseDetector,
+    /// Monitor samples per detector observation.
+    agg: u64,
+    /// The measured aggregate being built, and its samples so far.
+    agg_acc: PhaseSample,
+    agg_n: u64,
+    /// The aggregate being credited, and the slice it credits next (0 when
+    /// no credit is in flight).
+    credit_super: PhaseSample,
+    credit_j: u64,
+    /// Aggregates credited since the last observation.
+    consec_skips: u64,
+    /// Set from a credit until the next measured sample, the refill.
+    refill_pending: bool,
+    /// Committed instructions per context at the last monitor sample.
+    last_committed: [u64; MAX_THREADS],
+}
+
+impl IntervalDriver {
+    /// A driver for `cpu`'s measured quantum that folds `aggregate_samples`
+    /// consecutive monitor samples into each detector observation and
+    /// spreads each credited aggregate back over as many sample periods.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `aggregate_samples` is zero.
+    #[must_use]
+    pub fn new(cpu: &Cpu, aggregate_samples: u64) -> Self {
+        assert!(aggregate_samples > 0, "an aggregate needs a sample");
+        IntervalDriver {
+            detector: PhaseDetector::new(),
+            agg: aggregate_samples,
+            agg_acc: PhaseSample::zero(),
+            agg_n: 0,
+            credit_super: PhaseSample::zero(),
+            credit_j: 0,
+            consec_skips: 0,
+            refill_pending: false,
+            last_committed: committed(cpu),
+        }
+    }
+
+    /// Fast-forwards `cpu` through the coming sample period, returning
+    /// whether it did. An `eligible` period is credited when a credit is
+    /// in flight, or when one may start: on an aggregate boundary (no
+    /// verification measurement in flight), in a confirmed phase, with
+    /// skip allowance left. An ineligible period abandons the unapplied
+    /// slices of a credit in flight, so execution returns to cycle level
+    /// immediately.
+    pub fn try_credit(&mut self, cpu: &mut Cpu, eligible: bool) -> bool {
+        if !eligible {
+            self.credit_j = 0;
+            return false;
+        }
+        if self.credit_j == 0 {
+            let allowance = MAX_SKIP_SAMPLES.min(self.detector.credit_cap());
+            if self.agg_n > 0 || !self.detector.is_stable() || self.consec_skips >= allowance {
+                return false;
+            }
+            self.credit_super = self.detector.credit_next();
+        }
+        cpu.fast_forward(&self.credit_super.bresenham_slice(self.credit_j, self.agg));
+        self.credit_j = (self.credit_j + 1) % self.agg;
+        true
+    }
+
+    /// Closes a monitor sample whose true access counts are `counts`;
+    /// `credited` is what [`Self::try_credit`] returned for its period.
+    /// Measured samples train the detector; credited ones must not (they
+    /// would confirm themselves) and instead consume skip allowance.
+    pub fn end_sample(&mut self, cpu: &Cpu, counts: &AccessMatrix, credited: bool) {
+        let last = std::mem::replace(&mut self.last_committed, committed(cpu));
+        if credited {
+            if self.credit_j == 0 {
+                // The slice just applied completed its aggregate.
+                self.consec_skips += 1;
+            }
+            self.refill_pending = true;
+        } else if self.refill_pending {
+            // First measured sample after a credit run: the pipeline is
+            // still refilling from the squash, so this sample is a timing
+            // artifact — neither trained into the profile nor allowed to
+            // reset the skip budget (the *next* measured sample is the
+            // real verify).
+            self.refill_pending = false;
+        } else {
+            self.agg_acc.merge(&PhaseSample {
+                committed: std::array::from_fn(|t| self.last_committed[t] - last[t]),
+                counts: *counts,
+            });
+            self.agg_n += 1;
+            if self.agg_n == self.agg {
+                self.consec_skips = 0;
+                self.detector.observe(&self.agg_acc);
+                self.agg_acc = PhaseSample::zero();
+                self.agg_n = 0;
+            }
+        }
+    }
+
+    /// Forgets the current phase and any aggregate in flight, keeping only
+    /// the learned credit cap. Activity measured under one gating regime
+    /// says nothing about the next, so a DTM state change calls this.
+    pub fn reset(&mut self) {
+        self.detector.reset();
+        self.consec_skips = 0;
+        self.refill_pending = false;
+        self.agg_acc = PhaseSample::zero();
+        self.agg_n = 0;
+        self.credit_j = 0;
+    }
+}
+
+/// Committed instructions per hardware context of `cpu` so far.
+fn committed(cpu: &Cpu) -> [u64; MAX_THREADS] {
+    let mut out = [0; MAX_THREADS];
+    for (t, c) in out.iter_mut().enumerate().take(cpu.num_threads()) {
+        *c = cpu.thread_stats(ThreadId(t as u8)).committed;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CpuConfig;
     use crate::resources::Resource;
+    use hs_mem::MemConfig;
 
     fn sample(committed: u64, regfile: u64) -> PhaseSample {
         let mut s = PhaseSample::zero();
@@ -384,13 +482,9 @@ mod tests {
         s
     }
 
-    fn detector() -> PhaseDetector {
-        PhaseDetector::new(PhaseDetectorConfig::default())
-    }
-
     #[test]
     fn steady_stream_confirms_after_the_window() {
-        let mut d = detector();
+        let mut d = PhaseDetector::new();
         for i in 0..20 {
             let stable = d.observe(&sample(100, 60));
             // Seed sample + 8 matches => stable from the 9th observation.
@@ -400,7 +494,7 @@ mod tests {
 
     #[test]
     fn phase_shorter_than_the_window_never_stabilizes() {
-        let mut d = detector();
+        let mut d = PhaseDetector::new();
         for _ in 0..10 {
             // 5-sample phases, alternating profile: every switch resets
             // the streak before the 8-match confirmation is reached.
@@ -415,8 +509,8 @@ mod tests {
 
     #[test]
     fn jitter_within_tolerance_stays_stable() {
-        let mut d = detector();
-        // +-6 around 100 is inside abs_slack + 10% of the mean.
+        let mut d = PhaseDetector::new();
+        // +-6 around 100 is inside ABS_SLACK + 10% of the mean.
         let jitter = [100u64, 94, 106, 100, 97, 103, 100, 100, 95, 105];
         let mut stable_seen = false;
         for round in 0..4 {
@@ -433,7 +527,7 @@ mod tests {
 
     #[test]
     fn a_profile_shift_breaks_stability() {
-        let mut d = detector();
+        let mut d = PhaseDetector::new();
         for _ in 0..12 {
             d.observe(&sample(100, 60));
         }
@@ -454,7 +548,7 @@ mod tests {
 
     #[test]
     fn bounded_two_level_wave_confirms_by_its_window_mean() {
-        let mut d = detector();
+        let mut d = PhaseDetector::new();
         // Every level switch misses the streak window's mean (a high
         // sample is 14 % above a run of lows), so no streak ever reaches
         // the window. Every 16 consecutive samples, though, lie within
@@ -476,7 +570,7 @@ mod tests {
 
     #[test]
     fn an_out_of_tolerance_sample_breaks_a_centered_phase() {
-        let mut d = detector();
+        let mut d = PhaseDetector::new();
         for i in 0..40 {
             d.observe(&square_wave(i));
         }
@@ -492,7 +586,7 @@ mod tests {
 
     #[test]
     fn crediting_matches_the_window_mean_exactly() {
-        let mut d = detector();
+        let mut d = PhaseDetector::new();
         // Non-divisible profile: mean committed 101.5, regfile 60.25.
         let cycle = [101u64, 102, 101, 102];
         let reg = [60u64, 60, 60, 61];
@@ -514,7 +608,7 @@ mod tests {
 
     #[test]
     fn observed_sample_resets_the_credit_position() {
-        let mut d = detector();
+        let mut d = PhaseDetector::new();
         for i in 0..16 {
             // Mean 101.5: Bresenham alternates 101 and 102, so the credit
             // position is observable.
@@ -530,7 +624,7 @@ mod tests {
 
     #[test]
     fn matching_samples_keep_retraining_the_window() {
-        let mut d = detector();
+        let mut d = PhaseDetector::new();
         for _ in 0..16 {
             d.observe(&sample(100, 60));
         }
@@ -546,7 +640,7 @@ mod tests {
 
     #[test]
     fn learned_min_run_caps_crediting() {
-        let mut d = detector();
+        let mut d = PhaseDetector::new();
         assert_eq!(d.credit_cap(), u64::MAX);
         // A stable run of 30 samples, then a break.
         for _ in 0..30 {
@@ -564,7 +658,7 @@ mod tests {
 
     #[test]
     fn reset_forgets_the_phase_but_not_the_learned_cap() {
-        let mut d = detector();
+        let mut d = PhaseDetector::new();
         for _ in 0..20 {
             d.observe(&sample(100, 60));
         }
@@ -578,7 +672,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unconfirmed")]
     fn crediting_before_confirmation_panics() {
-        let mut d = detector();
+        let mut d = PhaseDetector::new();
         d.observe(&sample(100, 60));
         let _ = d.credit_next();
     }
@@ -610,5 +704,84 @@ mod tests {
     #[should_panic(expected = "does not exist")]
     fn out_of_range_slice_panics() {
         let _ = sample(1, 1).bresenham_slice(8, 8);
+    }
+
+    /// One sample period of `d` on a core with no threads: a measured
+    /// period counts `measured` regfile accesses, a credited one whatever
+    /// the driver fast-forwarded. Returns the credited count, `None` when
+    /// the period was measured.
+    fn period(d: &mut IntervalDriver, cpu: &mut Cpu, eligible: bool, measured: u64) -> Option<u64> {
+        let credited = d.try_credit(cpu, eligible);
+        let mut counts = cpu.take_access_counts();
+        if !credited {
+            counts.add(ThreadId(0), Resource::IntRegFile, measured);
+        }
+        d.end_sample(cpu, &counts, credited);
+        credited.then(|| counts.get(ThreadId(0), Resource::IntRegFile))
+    }
+
+    fn idle_core() -> Cpu {
+        Cpu::new(CpuConfig::default(), MemConfig::default())
+    }
+
+    #[test]
+    fn driver_cadence_is_fifteen_credits_one_refill_one_verify() {
+        let mut cpu = idle_core();
+        let mut d = IntervalDriver::new(&cpu, 1);
+        let mut trace = String::new();
+        let mut after_credit = false;
+        for _ in 0..60 {
+            // The refill period measures a pipeline still ramping up from
+            // the squash, far below the phase: training on it would break
+            // the phase.
+            let measured = if after_credit { 0 } else { 60 };
+            let credited = period(&mut d, &mut cpu, true, measured).is_some();
+            trace.push(match (credited, after_credit) {
+                (true, _) => 'C',
+                (false, true) => 'r',
+                (false, false) => 'm',
+            });
+            after_credit = credited;
+        }
+        let cadence = format!("{}rm", "C".repeat(15));
+        assert_eq!(trace, format!("{}{}", "m".repeat(9), cadence.repeat(3)));
+    }
+
+    #[test]
+    fn aggregate_slices_sum_to_the_credit_and_an_interruption_drops_the_rest() {
+        let mut cpu = idle_core();
+        let mut d = IntervalDriver::new(&cpu, 4);
+        // Every aggregate totals 407, so every credited aggregate does too.
+        let samples = [101, 102, 101, 103];
+        for i in 0..36 {
+            assert_eq!(period(&mut d, &mut cpu, true, samples[i % 4]), None);
+        }
+        let slices: Vec<u64> = (0..4)
+            .map(|_| period(&mut d, &mut cpu, true, 0).expect("a confirmed phase credits"))
+            .collect();
+        assert_eq!(slices, [101, 102, 102, 102]);
+        assert_eq!(slices.iter().sum::<u64>(), 407);
+        // Two slices into the next aggregate, an ineligible period ends it:
+        // the next credit starts a fresh aggregate at its first slice.
+        assert_eq!(period(&mut d, &mut cpu, true, 0), Some(101));
+        assert_eq!(period(&mut d, &mut cpu, true, 0), Some(102));
+        assert_eq!(period(&mut d, &mut cpu, false, 0), None);
+        assert_eq!(period(&mut d, &mut cpu, true, 0), Some(101));
+    }
+
+    #[test]
+    fn reset_withholds_credit_until_a_fresh_confirmation() {
+        let mut cpu = idle_core();
+        let mut d = IntervalDriver::new(&cpu, 1);
+        for _ in 0..9 {
+            assert_eq!(period(&mut d, &mut cpu, true, 60), None);
+        }
+        assert_eq!(period(&mut d, &mut cpu, true, 60), Some(60));
+        d.reset();
+        // The credit just applied leaves no refill to drop after a reset.
+        for i in 0..9 {
+            assert_eq!(period(&mut d, &mut cpu, true, 60), None, "period {i}");
+        }
+        assert_eq!(period(&mut d, &mut cpu, true, 60), Some(60));
     }
 }

@@ -71,30 +71,10 @@ impl ExecMode {
     }
 }
 
-/// Tuning for [`ExecMode::Interval`]. The defaults are the documented
-/// accuracy contract's operating point; loosening them trades fidelity for
-/// speed outside the tested envelope.
+/// Tuning for [`ExecMode::Interval`]. Every other interval-mode value is
+/// a constant at the accuracy contract's operating point (DESIGN.md §3d).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalConfig {
-    /// Consecutive matching monitor samples required before a phase counts
-    /// as stable (the phase detector's confirmation window; its centered
-    /// test looks at twice as many).
-    pub confirm_samples: u32,
-    /// Most consecutive samples that may be fast-forwarded before a
-    /// cycle-accurate verification sample is forced, bounding how stale
-    /// the extrapolated profile can get.
-    pub max_skip_samples: u64,
-    /// Thermal guard band in kelvin: fast-forwarding is allowed only while
-    /// every block's true temperature is below `normal_k - guard_k`, so no
-    /// DTM policy can be near a temperature-driven decision boundary. The
-    /// first temperature-driven policy action while no thread is gated
-    /// fires at `upper_k`, a further 2 K above `normal_k`, so even a small
-    /// band leaves a wide cycle-accurate approach to every threshold.
-    pub guard_k: f64,
-    /// Relative tolerance of the phase detector's per-counter match.
-    pub rel_tol: f64,
-    /// Absolute slack (counts per sample) of the phase detector's match.
-    pub abs_slack: u64,
     /// Consecutive monitor samples folded into one phase-detector
     /// observation (1 = per-sample matching). A workload whose loop
     /// structure is *longer* than a sample period never looks stationary
@@ -104,22 +84,17 @@ pub struct IntervalConfig {
     /// aggregates are spread back over their constituent sample periods
     /// with the same drift-free Bresenham rounding the detector uses, so
     /// long-run counts still track the measured mean exactly; what is
-    /// given up is *intra-aggregate* thermal texture, which the `guard_k`
-    /// band makes safe: any block warmer than `normal_k - guard_k` forces
-    /// cycle level regardless of aggregation, so every temperature near a
-    /// DTM decision is still reached cycle-accurately. `confirm_samples`
-    /// and `max_skip_samples` are in units of aggregates.
+    /// given up is *intra-aggregate* thermal texture, which the thermal
+    /// guard band makes safe: any block near `normal_k` forces cycle level
+    /// regardless of aggregation, so every temperature near a DTM decision
+    /// is still reached cycle-accurately. The confirmation window and the
+    /// skip allowance (`hs_cpu::IntervalDriver`) count aggregates.
     pub aggregate_samples: u64,
 }
 
 impl Default for IntervalConfig {
     fn default() -> Self {
         IntervalConfig {
-            confirm_samples: 8,
-            max_skip_samples: 15,
-            guard_k: 0.5,
-            rel_tol: 0.10,
-            abs_slack: 12,
             aggregate_samples: 1,
         }
     }
@@ -130,33 +105,8 @@ impl IntervalConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error for a zero confirmation window or skip allowance,
-    /// or a non-finite / negative guard band or tolerance.
+    /// Returns an error for an aggregate of zero samples.
     pub fn try_validate(&self) -> Result<(), ConfigError> {
-        if self.confirm_samples == 0 {
-            return Err(ConfigError::new(
-                "interval.confirm_samples",
-                "confirmation window must be at least one sample",
-            ));
-        }
-        if self.max_skip_samples == 0 {
-            return Err(ConfigError::new(
-                "interval.max_skip_samples",
-                "skip allowance must be at least one sample",
-            ));
-        }
-        if !self.guard_k.is_finite() || self.guard_k < 0.0 {
-            return Err(ConfigError::new(
-                "interval.guard_k",
-                "thermal guard band must be finite and non-negative",
-            ));
-        }
-        if !self.rel_tol.is_finite() || self.rel_tol < 0.0 {
-            return Err(ConfigError::new(
-                "interval.rel_tol",
-                "relative tolerance must be finite and non-negative",
-            ));
-        }
         if self.aggregate_samples == 0 {
             return Err(ConfigError::new(
                 "interval.aggregate_samples",
@@ -480,10 +430,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "confirmation window")]
-    fn zero_confirmation_window_rejected() {
+    #[should_panic(expected = "aggregation")]
+    fn zero_aggregation_rejected() {
         let mut c = SimConfig::paper();
-        c.interval.confirm_samples = 0;
+        c.interval.aggregate_samples = 0;
         c.validate();
     }
 
@@ -521,13 +471,5 @@ mod tests {
                 "{time_scale}: got {err}"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "guard band")]
-    fn negative_guard_band_rejected() {
-        let mut c = SimConfig::paper();
-        c.interval.guard_k = -1.0;
-        c.validate();
     }
 }

@@ -10,10 +10,7 @@ use hs_core::{
     SelectiveSedation, StopAndGo, ThermalPolicy, ALL_SENSORS_VALID,
 };
 use hs_cpu::pipeline::FetchGate;
-use hs_cpu::{
-    AccessMatrix, Cpu, PhaseDetector, PhaseDetectorConfig, PhaseSample, Resource, ThreadId,
-    ALL_RESOURCES,
-};
+use hs_cpu::{AccessMatrix, Cpu, IntervalDriver, Resource, ThreadId, ALL_RESOURCES};
 use hs_isa::Program;
 use hs_power::{calibration, resource_block, PowerModel};
 use hs_thermal::{SensorBank, ThermalNetwork, ALL_BLOCKS, NUM_BLOCKS};
@@ -60,6 +57,13 @@ pub struct Sample<'a> {
     /// Whether the whole pipeline stalls for the next span.
     pub global_stall: bool,
 }
+
+/// Interval mode's thermal guard band (DESIGN.md §3d): a span is credited
+/// only while every block's true temperature is below `normal_k − GUARD_K`.
+/// The first temperature-driven policy action while no thread is gated
+/// fires 2 K further up, at `upper_k`, so every threshold approach is
+/// simulated cycle by cycle.
+const GUARD_K: f64 = 0.5;
 
 /// The hook of every run nobody observes. One shared `fn` item, so the
 /// measured loop is compiled once for all of them.
@@ -421,39 +425,18 @@ impl Simulator {
         let mut emergencies = 0u64;
         let mut sensor_valid = ALL_SENSORS_VALID;
 
-        // ---- Interval-mode state (DESIGN.md §3d). ----
+        // ---- Interval mode (DESIGN.md §3d). ----
         // Fault schedules demand cycle-level fidelity around their firing
         // cycles; rather than track proximity, any configured fault keeps
         // the whole run cycle-accurate.
-        let interval_on = self.cfg.exec == ExecMode::Interval && self.cfg.faults.is_empty();
-        let mut detector = PhaseDetector::new(PhaseDetectorConfig {
-            confirm_samples: self.cfg.interval.confirm_samples,
-            rel_tol: self.cfg.interval.rel_tol,
-            abs_slack: self.cfg.interval.abs_slack,
-        });
+        let mut interval = (self.cfg.exec == ExecMode::Interval && self.cfg.faults.is_empty())
+            .then(|| IntervalDriver::new(&self.cpu, self.cfg.interval.aggregate_samples));
         // True block temperatures as of the last sensor step, for the
         // thermal guard (sensor *readings* may be faulted or noisy; the
         // guard must consult physics).
         let mut truth_temps = temps;
-        let guard_limit = self.cfg.sedation.thresholds.normal_k - self.cfg.interval.guard_k;
-        let mut last_committed = committed_base.clone();
-        let mut consec_skips = 0u64;
+        let guard_limit = self.cfg.sedation.thresholds.normal_k - GUARD_K;
         let mut fast_forwarded = 0u64;
-        // Set while the first measured sample after a credit run is still
-        // pending: that sample rides the post-squash pipeline refill and is
-        // excluded from phase training.
-        let mut refill_pending = false;
-        // Aggregation (`IntervalConfig::aggregate_samples`): the detector
-        // observes and credits in units of `agg` consecutive samples, so a
-        // loop longer than one sample period can still present a
-        // stationary profile. `agg_acc`/`agg_n` build the next measured
-        // aggregate; `credit_super`/`credit_j` spread a credited aggregate
-        // back over its constituent sample periods.
-        let agg = self.cfg.interval.aggregate_samples;
-        let mut agg_acc = PhaseSample::zero();
-        let mut agg_n = 0u64;
-        let mut credit_super = PhaseSample::zero();
-        let mut credit_j = 0u64;
         // Whether every span since the last sensor step was credited; only
         // then is the power history exactly phase-constant and the thermal
         // state advanced in closed form instead of stepped.
@@ -472,40 +455,18 @@ impl Simulator {
             let span = span_end - cycle + 1;
             // A span may be fast-forwarded only when nothing the credited
             // profile cannot represent is in play: free-running execution
-            // (no gates, no stall), a full sample period, a confirmed
-            // stable phase with skip allowance left, and every block cold
-            // enough that no temperature-driven DTM decision is near. A
-            // new aggregate credit may only start on an aggregate boundary
-            // (no verification measurement in flight); once started, its
-            // remaining slices keep flowing unless something breaks in.
-            let can_start = agg_n == 0
-                && detector.is_stable()
-                && consec_skips
-                    < self
-                        .cfg
-                        .interval
-                        .max_skip_samples
-                        .min(detector.credit_cap());
-            let credited = interval_on
-                && !global_stall
-                && !gate.any_gated()
-                && span == sample
-                && span_end.is_multiple_of(sample)
-                && truth_temps.iter().all(|&t| t < guard_limit)
-                && (credit_j > 0 || can_start);
-            if !credited && credit_j > 0 {
-                // Mid-aggregate interruption (thermal guard, stall, gate,
-                // quantum tail): the unapplied slices are abandoned and
-                // execution returns to cycle level immediately.
-                credit_j = 0;
-            }
+            // (no gates, no stall), a full sample period, and every block
+            // cold enough that no temperature-driven DTM decision is near.
+            // The driver decides whether such a span is credited.
+            let credited = interval.as_mut().is_some_and(|driver| {
+                let eligible = !global_stall
+                    && !gate.any_gated()
+                    && span == sample
+                    && span_end.is_multiple_of(sample)
+                    && truth_temps.iter().all(|&t| t < guard_limit);
+                driver.try_credit(&mut self.cpu, eligible)
+            });
             if credited {
-                if credit_j == 0 {
-                    credit_super = detector.credit_next();
-                }
-                let extrapolated = credit_super.bresenham_slice(credit_j, agg);
-                credit_j = (credit_j + 1) % agg;
-                self.cpu.fast_forward(&extrapolated);
                 for b in &mut breakdowns {
                     b.normal_cycles += span;
                 }
@@ -534,42 +495,8 @@ impl Simulator {
 
             // Monitor sampling instant.
             let counts = self.cpu.take_access_counts();
-            // Phase bookkeeping: measured samples train the detector;
-            // credited samples must not (they would confirm themselves)
-            // and instead consume skip allowance.
-            if interval_on {
-                let mut psample = PhaseSample {
-                    committed: [0; hs_cpu::MAX_THREADS],
-                    counts,
-                };
-                for (t, last) in last_committed.iter_mut().enumerate() {
-                    let committed = self.cpu.thread_stats(ThreadId(t as u8)).committed;
-                    psample.committed[t] = committed - *last;
-                    *last = committed;
-                }
-                if credited {
-                    if credit_j == 0 {
-                        // The slice just applied completed its aggregate.
-                        consec_skips += 1;
-                    }
-                    refill_pending = true;
-                } else if refill_pending {
-                    // First measured sample after a credit run: the
-                    // pipeline is still refilling from the squash, so this
-                    // sample is a timing artifact — neither trained into
-                    // the profile nor allowed to reset the skip budget
-                    // (the *next* measured sample is the real verify).
-                    refill_pending = false;
-                } else {
-                    agg_acc.merge(&psample);
-                    agg_n += 1;
-                    if agg_n == agg {
-                        consec_skips = 0;
-                        detector.observe(&agg_acc);
-                        agg_acc = PhaseSample::zero();
-                        agg_n = 0;
-                    }
-                }
+            if let Some(driver) = &mut interval {
+                driver.end_sample(&self.cpu, &counts, credited);
             }
             let mut block_counts = BlockCounts::new();
             for (t, regfile_acc) in regfile_accesses.iter_mut().enumerate().take(nthreads) {
@@ -654,17 +581,13 @@ impl Simulator {
                 gate,
                 global_stall,
             });
-            // Any DTM state change invalidates the phase profile: activity
-            // measured under one gating regime says nothing about the next
-            // (e.g. a sedated thread waking re-enters cycle level until a
-            // new phase is confirmed).
-            if interval_on && (gate != prev_gate || global_stall != prev_stall) {
-                detector.reset();
-                consec_skips = 0;
-                refill_pending = false;
-                agg_acc = PhaseSample::zero();
-                agg_n = 0;
-                credit_j = 0;
+            // Any DTM state change invalidates the phase profile (e.g. a
+            // sedated thread waking re-enters cycle level until a new
+            // phase is confirmed).
+            if let Some(driver) = &mut interval {
+                if gate != prev_gate || global_stall != prev_stall {
+                    driver.reset();
+                }
             }
             cycle += 1;
         }
