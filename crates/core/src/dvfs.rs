@@ -6,15 +6,18 @@
 //! (stop-and-go) performs about the same. This policy models the
 //! frequency-scaling family at the granularity our harness controls: while
 //! a triggered block is above its resume temperature the pipeline runs at
-//! a reduced duty cycle instead of stopping completely.
+//! a reduced duty cycle instead of stopping completely. It throttles over
+//! the same emergency episode as stop-and-go: from the sample a block
+//! reaches the emergency temperature until every block that tripped is
+//! back at the normal operating temperature.
 //!
 //! It shares stop-and-go's fundamental weakness — the whole pipeline pays
 //! for one thread's hot spot — so heat stroke defeats it identically.
 
 use crate::config::DtmThresholds;
+use crate::latch::{EmergencyLatch, LatchState};
 use crate::policy::{DtmDecision, DtmInput, ThermalPolicy};
-use crate::report::{OsReport, ReportKind};
-use hs_thermal::{ALL_BLOCKS, NUM_BLOCKS};
+use crate::report::OsReport;
 
 /// Global duty-cycle throttling on thermal emergencies.
 #[derive(Debug, Clone)]
@@ -23,10 +26,8 @@ pub struct GlobalDvfs {
     /// Out of this many samples, how many are stalled while throttling
     /// (e.g. 1-of-2 models half frequency).
     stall_every: u32,
-    throttling: bool,
-    hot: [bool; NUM_BLOCKS],
+    latch: EmergencyLatch,
     phase: u32,
-    emergencies: u64,
     reports: Vec<OsReport>,
 }
 
@@ -44,10 +45,8 @@ impl GlobalDvfs {
         GlobalDvfs {
             thresholds,
             stall_every,
-            throttling: false,
-            hot: [false; NUM_BLOCKS],
+            latch: EmergencyLatch::default(),
             phase: 0,
-            emergencies: 0,
             reports: Vec::new(),
         }
     }
@@ -55,7 +54,7 @@ impl GlobalDvfs {
     /// Whether the pipeline is currently throttled.
     #[must_use]
     pub fn is_throttling(&self) -> bool {
-        self.throttling
+        self.latch.is_engaged()
     }
 }
 
@@ -71,26 +70,13 @@ impl ThermalPolicy for GlobalDvfs {
     }
 
     fn on_sample(&mut self, input: &DtmInput<'_>) -> DtmDecision {
-        for b in ALL_BLOCKS {
-            let t = input.block_temps[b.index()];
-            if t >= self.thresholds.emergency_k && !self.hot[b.index()] {
-                self.hot[b.index()] = true;
-                self.emergencies += 1;
-                self.reports.push(OsReport {
-                    cycle: input.cycle,
-                    thread: None,
-                    block: b,
-                    kind: ReportKind::Emergency,
-                    weighted_avg: None,
-                    temperature_k: t,
-                });
-            }
-            if self.hot[b.index()] && t <= self.thresholds.normal_k {
-                self.hot[b.index()] = false;
-            }
-        }
-        self.throttling = self.hot.iter().any(|&h| h);
-        let stall = if self.throttling {
+        let state = self.latch.observe(
+            &self.thresholds,
+            input.cycle,
+            input.block_temps,
+            &mut self.reports,
+        );
+        let stall = if state == LatchState::Engaged {
             self.phase = (self.phase + 1) % self.stall_every;
             self.phase == 0
         } else {
@@ -106,27 +92,28 @@ impl ThermalPolicy for GlobalDvfs {
     fn take_reports(&mut self) -> Vec<OsReport> {
         std::mem::take(&mut self.reports)
     }
-
-    fn emergencies(&self) -> u64 {
-        self.emergencies
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::counts::BlockCounts;
-    use hs_thermal::Block;
+    use crate::latch::emergencies;
+    use hs_thermal::{Block, NUM_BLOCKS};
 
     fn sample(p: &mut GlobalDvfs, temp: f64, cycle: u64) -> DtmDecision {
         let mut temps = [345.0; NUM_BLOCKS];
         temps[Block::IntReg.index()] = temp;
+        sample_temps(p, &temps, cycle)
+    }
+
+    fn sample_temps(p: &mut GlobalDvfs, temps: &[f64; NUM_BLOCKS], cycle: u64) -> DtmDecision {
         let counts = BlockCounts::new();
         p.on_sample(&DtmInput {
             sensor_valid: &crate::policy::ALL_SENSORS_VALID,
             sensor_fresh: true,
             cycle,
-            block_temps: &temps,
+            block_temps: temps,
             counts: &counts,
             global_stalled: false,
         })
@@ -137,7 +124,7 @@ mod tests {
         let mut p = GlobalDvfs::default();
         assert!(!sample(&mut p, 358.6, 0).global_stall || p.is_throttling());
         assert!(p.is_throttling());
-        assert_eq!(p.emergencies(), 1);
+        assert_eq!(emergencies(&p.take_reports()), 1);
         // While hot, stalls alternate (half duty).
         let stalls: Vec<bool> = (1..9)
             .map(|i| sample(&mut p, 356.0, i * 100).global_stall)
@@ -155,7 +142,31 @@ mod tests {
         for i in 0..20 {
             assert!(!sample(&mut p, 358.0, i * 100).global_stall);
         }
-        assert_eq!(p.emergencies(), 0);
+        assert_eq!(emergencies(&p.take_reports()), 0);
+    }
+
+    #[test]
+    fn throttle_holds_until_every_tripped_block_is_back_at_normal() {
+        let th = DtmThresholds::default();
+        let mut p = GlobalDvfs::default();
+        let mut temps = [345.0; NUM_BLOCKS];
+        let (reg, fp) = (Block::IntReg.index(), Block::FpMul.index());
+        temps[reg] = th.emergency_k;
+        temps[fp] = th.emergency_k;
+        sample_temps(&mut p, &temps, 0);
+        // The register file cools to normal, then warms again while the
+        // FP multiplier stays hot.
+        temps[reg] = th.normal_k;
+        sample_temps(&mut p, &temps, 100);
+        temps[reg] = th.upper_k;
+        sample_temps(&mut p, &temps, 200);
+        temps[fp] = th.normal_k;
+        sample_temps(&mut p, &temps, 300);
+        assert!(p.is_throttling(), "int-reg tripped and is above normal");
+        temps[reg] = th.normal_k;
+        sample_temps(&mut p, &temps, 400);
+        assert!(!p.is_throttling());
+        assert_eq!(emergencies(&p.take_reports()), 2);
     }
 
     #[test]

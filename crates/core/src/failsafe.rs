@@ -29,7 +29,8 @@
 //! Every rung transition is reported to the OS ([`ReportKind`]).
 
 use crate::config::SedationConfig;
-use crate::guard::{GuardConfig, SensorGuard, SensorHealth};
+use crate::guard::{GuardConfig, SensorGuard};
+use crate::latch::{EmergencyLatch, LatchState};
 use crate::policy::{DtmDecision, DtmInput, ThermalPolicy};
 use crate::report::{OsReport, ReportKind};
 use crate::sedation::SelectiveSedation;
@@ -145,8 +146,9 @@ pub struct FaultTolerantDtm {
     /// The stall our *previous* decision requested (what the pipeline did
     /// between then and now — determines whether blocks heated or cooled).
     prev_stall: bool,
-    fallback_stalled: bool,
-    fallback_emergencies: u64,
+    /// The fallback's stop-and-go over one chip-wide reading: the hottest
+    /// worst-case bound, filed on `IntReg`.
+    fallback: EmergencyLatch,
     reports: Vec<OsReport>,
 }
 
@@ -170,8 +172,7 @@ impl FaultTolerantDtm {
             have_frame: false,
             last_cycle: 0,
             prev_stall: false,
-            fallback_stalled: false,
-            fallback_emergencies: 0,
+            fallback: EmergencyLatch::default(),
             reports: Vec::new(),
         }
     }
@@ -186,12 +187,6 @@ impl FaultTolerantDtm {
     #[must_use]
     pub fn mode(&self) -> FailsafeMode {
         self.mode
-    }
-
-    /// Health of one sensor as seen by the guard.
-    #[must_use]
-    pub fn sensor_health(&self, block: Block) -> SensorHealth {
-        self.guard.health(block)
     }
 
     /// The current worst-case temperature bound for one block (K).
@@ -231,7 +226,7 @@ impl FaultTolerantDtm {
         }
         self.mode = mode;
         if mode != FailsafeMode::Fallback {
-            self.fallback_stalled = false;
+            self.fallback = EmergencyLatch::default();
         }
     }
 }
@@ -306,23 +301,24 @@ impl ThermalPolicy for FaultTolerantDtm {
         // Rung 2: any failed sensor → worst-case stop-and-go.
         if self.trusted.iter().any(|&t| !t) {
             self.enter_mode(FailsafeMode::Fallback, cycle, reference_temp);
-            let emergency = self.cfg.sedation.thresholds.emergency_k;
-            let normal = self.cfg.sedation.thresholds.normal_k;
             let hottest = self
                 .estimate
                 .iter()
                 .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-            if !self.fallback_stalled && hottest >= emergency {
-                self.fallback_stalled = true;
-                self.fallback_emergencies += 1;
-                self.chip_report(cycle, ReportKind::Emergency, hottest);
-            } else if self.fallback_stalled && hottest <= normal {
-                self.fallback_stalled = false;
+            let mut chip = [f64::NEG_INFINITY; NUM_BLOCKS];
+            chip[Block::IntReg.index()] = hottest;
+            let state = self.fallback.observe(
+                &self.cfg.sedation.thresholds,
+                cycle,
+                &chip,
+                &mut self.reports,
+            );
+            if state == LatchState::Released {
                 self.chip_report(cycle, ReportKind::SafetyNetReleased, hottest);
             }
-            self.prev_stall = self.fallback_stalled;
+            self.prev_stall = state == LatchState::Engaged;
             return DtmDecision {
-                global_stall: self.fallback_stalled,
+                global_stall: self.prev_stall,
                 gate: FetchGate::open(),
             };
         }
@@ -351,10 +347,6 @@ impl ThermalPolicy for FaultTolerantDtm {
         out.extend(self.inner.take_reports());
         out.sort_by_key(|r| r.cycle);
         out
-    }
-
-    fn emergencies(&self) -> u64 {
-        self.inner.emergencies() + self.fallback_emergencies
     }
 }
 

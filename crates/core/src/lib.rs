@@ -73,6 +73,7 @@ pub mod error;
 pub mod failsafe;
 pub mod faults;
 pub mod guard;
+mod latch;
 pub mod monitor;
 pub mod policy;
 pub mod rate_cap;

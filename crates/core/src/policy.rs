@@ -58,12 +58,6 @@ pub trait ThermalPolicy {
     fn take_reports(&mut self) -> Vec<OsReport> {
         Vec::new()
     }
-
-    /// Number of times this policy observed the emergency temperature being
-    /// reached (Figure 4 of the paper counts these).
-    fn emergencies(&self) -> u64 {
-        0
-    }
 }
 
 /// The no-op policy: never stalls, never gates. Used with the ideal heat
@@ -109,7 +103,8 @@ mod tests {
         });
         assert!(!d.global_stall);
         assert!(!d.gate.any_gated());
-        assert_eq!(p.emergencies(), 0);
-        assert!(p.take_reports().is_empty());
+        let reports = p.take_reports();
+        assert_eq!(crate::latch::emergencies(&reports), 0);
+        assert!(reports.is_empty());
     }
 }

@@ -15,6 +15,7 @@
 //! ```
 
 use crate::config::SedationConfig;
+use crate::latch::{EmergencyLatch, LatchState};
 use crate::monitor::Ewma;
 use crate::policy::{DtmDecision, DtmInput, ThermalPolicy};
 use crate::report::{OsReport, ReportKind};
@@ -35,10 +36,7 @@ pub struct SelectiveSedation {
     sedated: [[bool; NUM_BLOCKS]; MAX_THREADS],
     /// Pending re-examination deadline per block.
     recheck_at: [Option<u64>; NUM_BLOCKS],
-    /// Safety-net state: blocks that reached the emergency temperature.
-    safety_hot: [bool; NUM_BLOCKS],
-    stalled: bool,
-    emergencies: u64,
+    safety_net: EmergencyLatch,
     sedation_events: u64,
     reports: Vec<OsReport>,
 }
@@ -63,9 +61,7 @@ impl SelectiveSedation {
             monitors: [[Ewma::new(cfg.ewma_shift); NUM_BLOCKS]; MAX_THREADS],
             sedated: [[false; NUM_BLOCKS]; MAX_THREADS],
             recheck_at: [None; NUM_BLOCKS],
-            safety_hot: [false; NUM_BLOCKS],
-            stalled: false,
-            emergencies: 0,
+            safety_net: EmergencyLatch::default(),
             sedation_events: 0,
             reports: Vec::new(),
         }
@@ -160,17 +156,14 @@ impl SelectiveSedation {
         });
     }
 
-    fn decision(&self) -> DtmDecision {
+    fn decision(&self, global_stall: bool) -> DtmDecision {
         let mut gate = FetchGate::open();
         for t in 0..self.nthreads {
             if self.sedated[t].iter().any(|&s| s) {
                 gate.set(ThreadId(t as u8), true);
             }
         }
-        DtmDecision {
-            global_stall: self.stalled,
-            gate,
-        }
+        DtmDecision { global_stall, gate }
     }
 }
 
@@ -182,38 +175,22 @@ impl ThermalPolicy for SelectiveSedation {
     fn on_sample(&mut self, input: &DtmInput<'_>) -> DtmDecision {
         let cycle = input.cycle;
 
-        // Track emergency crossings (for Figure 4 and the safety net).
-        for b in ALL_BLOCKS {
-            let t = input.block_temps[b.index()];
-            if t >= self.cfg.thresholds.emergency_k && !self.safety_hot[b.index()] {
-                self.safety_hot[b.index()] = true;
-                self.emergencies += 1;
-                self.stalled = true;
-                self.reports.push(OsReport {
-                    cycle,
-                    thread: None,
-                    block: b,
-                    kind: ReportKind::Emergency,
-                    weighted_avg: None,
-                    temperature_k: t,
-                });
-            }
-        }
-
-        if self.stalled {
-            // Safety-net stop-and-go: wait for every triggering block to
-            // return to normal operating temperature, then restore all
-            // sedated threads (§3.2.2).
-            let any_hot = ALL_BLOCKS.iter().any(|b| {
-                self.safety_hot[b.index()]
-                    && input.block_temps[b.index()] > self.cfg.thresholds.normal_k
-            });
-            if !any_hot {
-                self.stalled = false;
-                self.safety_hot = [false; NUM_BLOCKS];
+        // Safety-net stop-and-go: stall until every block that reached the
+        // emergency is back at normal operating temperature, then restore
+        // all sedated threads (§3.2.2).
+        let safety_net = self.safety_net.observe(
+            &self.cfg.thresholds,
+            cycle,
+            input.block_temps,
+            &mut self.reports,
+        );
+        match safety_net {
+            LatchState::Engaged => return self.decision(true),
+            LatchState::Released => {
                 self.release_everything(cycle);
+                return self.decision(false);
             }
-            return self.decision();
+            LatchState::Clear => {}
         }
 
         // Update the weighted averages. A sedated thread's monitors are
@@ -259,15 +236,11 @@ impl ThermalPolicy for SelectiveSedation {
             }
         }
 
-        self.decision()
+        self.decision(false)
     }
 
     fn take_reports(&mut self) -> Vec<OsReport> {
         std::mem::take(&mut self.reports)
-    }
-
-    fn emergencies(&self) -> u64 {
-        self.emergencies
     }
 }
 
@@ -275,6 +248,7 @@ impl ThermalPolicy for SelectiveSedation {
 mod tests {
     use super::*;
     use crate::counts::BlockCounts;
+    use crate::latch::emergencies;
 
     const REG: Block = Block::IntReg;
 
@@ -407,7 +381,7 @@ mod tests {
         // The last thread drives it to emergency anyway.
         let d = drive(&mut p, 358.6, &[0, 9_500], 1, 501_000);
         assert!(d.global_stall, "safety net must engage");
-        assert_eq!(p.emergencies(), 1);
+        assert_eq!(emergencies(&p.take_reports()), 1);
         // Stays stalled until normal temperature…
         let d = drive(&mut p, 355.0, &[0, 0], 1, 502_000);
         assert!(d.global_stall);
@@ -425,7 +399,7 @@ mod tests {
         assert!(!d.gate.any_gated());
         assert!(!d.global_stall);
         assert_eq!(p.sedation_events(), 0);
-        assert_eq!(p.emergencies(), 0);
+        assert_eq!(emergencies(&p.take_reports()), 0);
     }
 
     #[test]
@@ -445,10 +419,12 @@ mod tests {
     fn emergencies_count_crossings_not_samples() {
         let mut p = SelectiveSedation::new(cfg(), 2);
         drive(&mut p, 359.0, &[5_000, 5_000], 10, 0);
-        assert_eq!(p.emergencies(), 1);
+        let mut reports = p.take_reports();
+        assert_eq!(emergencies(&reports), 1);
         drive(&mut p, 353.0, &[0, 0], 2, 20_000); // cool below normal
         drive(&mut p, 359.0, &[5_000, 5_000], 10, 30_000);
-        assert_eq!(p.emergencies(), 2);
+        reports.extend(p.take_reports());
+        assert_eq!(emergencies(&reports), 2);
     }
 
     #[test]

@@ -7,19 +7,15 @@
 //! attacker pays the stall too, but so does every innocent thread.
 
 use crate::config::DtmThresholds;
+use crate::latch::{EmergencyLatch, LatchState};
 use crate::policy::{DtmDecision, DtmInput, ThermalPolicy};
-use crate::report::{OsReport, ReportKind};
-use hs_thermal::{ALL_BLOCKS, NUM_BLOCKS};
+use crate::report::OsReport;
 
 /// The global stall policy.
 #[derive(Debug, Clone)]
 pub struct StopAndGo {
     thresholds: DtmThresholds,
-    stalled: bool,
-    /// Blocks that tripped the emergency; the stall ends when all of them
-    /// are back at normal temperature.
-    hot: [bool; NUM_BLOCKS],
-    emergencies: u64,
+    latch: EmergencyLatch,
     reports: Vec<OsReport>,
 }
 
@@ -34,17 +30,9 @@ impl StopAndGo {
         thresholds.validate();
         StopAndGo {
             thresholds,
-            stalled: false,
-            hot: [false; NUM_BLOCKS],
-            emergencies: 0,
+            latch: EmergencyLatch::default(),
             reports: Vec::new(),
         }
-    }
-
-    /// Whether the pipeline is currently stalled.
-    #[must_use]
-    pub fn is_stalled(&self) -> bool {
-        self.stalled
     }
 }
 
@@ -60,37 +48,14 @@ impl ThermalPolicy for StopAndGo {
     }
 
     fn on_sample(&mut self, input: &DtmInput<'_>) -> DtmDecision {
-        for b in ALL_BLOCKS {
-            let t = input.block_temps[b.index()];
-            if t >= self.thresholds.emergency_k && !self.hot[b.index()] {
-                self.hot[b.index()] = true;
-                self.emergencies += 1;
-                self.reports.push(OsReport {
-                    cycle: input.cycle,
-                    thread: None,
-                    block: b,
-                    kind: ReportKind::Emergency,
-                    weighted_avg: None,
-                    temperature_k: t,
-                });
-            }
-        }
-        let any_hot = ALL_BLOCKS.iter().any(|b| {
-            self.hot[b.index()] && input.block_temps[b.index()] > self.thresholds.normal_k
-        });
-        if any_hot {
-            self.stalled = true;
-        } else {
-            self.stalled = false;
-            // Clear triggers that have cooled back to normal.
-            for b in ALL_BLOCKS {
-                if input.block_temps[b.index()] <= self.thresholds.normal_k {
-                    self.hot[b.index()] = false;
-                }
-            }
-        }
+        let state = self.latch.observe(
+            &self.thresholds,
+            input.cycle,
+            input.block_temps,
+            &mut self.reports,
+        );
         DtmDecision {
-            global_stall: self.stalled,
+            global_stall: state == LatchState::Engaged,
             gate: Default::default(),
         }
     }
@@ -98,17 +63,15 @@ impl ThermalPolicy for StopAndGo {
     fn take_reports(&mut self) -> Vec<OsReport> {
         std::mem::take(&mut self.reports)
     }
-
-    fn emergencies(&self) -> u64 {
-        self.emergencies
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::counts::BlockCounts;
-    use hs_thermal::Block;
+    use crate::latch::emergencies;
+    use crate::report::ReportKind;
+    use hs_thermal::{Block, NUM_BLOCKS};
 
     fn input<'a>(
         temps: &'a [f64; NUM_BLOCKS],
@@ -134,7 +97,7 @@ mod tests {
         temps[Block::IntReg.index()] = 358.6;
         let d = p.on_sample(&input(&temps, &counts, 100));
         assert!(d.global_stall);
-        assert_eq!(p.emergencies(), 1);
+        assert_eq!(emergencies(&p.take_reports()), 1);
 
         // Still above normal: stays stalled.
         temps[Block::IntReg.index()] = 355.0;
@@ -155,12 +118,14 @@ mod tests {
             p.on_sample(&input(&temps, &counts, cycle * 10));
         }
         // Five samples above emergency within one episode = one emergency.
-        assert_eq!(p.emergencies(), 1);
+        let mut reports = p.take_reports();
+        assert_eq!(emergencies(&reports), 1);
         temps[Block::IntReg.index()] = 353.0;
         p.on_sample(&input(&temps, &counts, 100));
         temps[Block::IntReg.index()] = 359.0;
         p.on_sample(&input(&temps, &counts, 110));
-        assert_eq!(p.emergencies(), 2);
+        reports.extend(p.take_reports());
+        assert_eq!(emergencies(&reports), 2);
     }
 
     #[test]
@@ -169,7 +134,7 @@ mod tests {
         let counts = BlockCounts::new();
         let temps = [358.0; NUM_BLOCKS]; // hot but sub-emergency
         assert!(!p.on_sample(&input(&temps, &counts, 0)).global_stall);
-        assert_eq!(p.emergencies(), 0);
+        assert_eq!(emergencies(&p.take_reports()), 0);
     }
 
     #[test]
@@ -194,7 +159,7 @@ mod tests {
         temps[Block::IntReg.index()] = 359.0;
         temps[Block::FpMul.index()] = 359.0;
         assert!(p.on_sample(&input(&temps, &counts, 0)).global_stall);
-        assert_eq!(p.emergencies(), 2);
+        assert_eq!(emergencies(&p.take_reports()), 2);
         temps[Block::IntReg.index()] = 353.0;
         assert!(
             p.on_sample(&input(&temps, &counts, 10)).global_stall,

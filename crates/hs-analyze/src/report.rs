@@ -153,27 +153,6 @@ impl ProgramAnalysis {
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         ranked
     }
-
-    /// The loop that produced the program's verdict (worst temperature
-    /// among loops at the verdict's level), if the program has loops.
-    #[must_use]
-    pub fn worst_loop(&self) -> Option<&LoopReport> {
-        self.loops
-            .iter()
-            .filter(|l| l.verdict == self.verdict)
-            .max_by(|a, b| {
-                a.est_temp_k
-                    .partial_cmp(&b.est_temp_k)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .or_else(|| {
-                self.loops.iter().max_by(|a, b| {
-                    a.est_temp_k
-                        .partial_cmp(&b.est_temp_k)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-            })
-    }
 }
 
 #[cfg(test)]

@@ -301,22 +301,10 @@ impl Cpu {
         self.ruu_live as usize
     }
 
-    /// Live RUU entries belonging to thread `ti` (diagnostics).
-    #[must_use]
-    pub fn thread_order_len(&self, ti: usize) -> usize {
-        self.thread_order[ti].len()
-    }
-
     /// Memory-hierarchy statistics.
     #[must_use]
     pub fn mem_stats(&self) -> hs_mem::LevelStats {
         self.hierarchy.stats()
-    }
-
-    /// Branch-predictor accuracy so far.
-    #[must_use]
-    pub fn bpred_accuracy(&self) -> f64 {
-        self.bpred.accuracy()
     }
 
     /// Drains and returns the per-thread, per-resource access counts
@@ -433,27 +421,12 @@ impl Cpu {
     #[doc(hidden)]
     pub fn tick_timed(&mut self, gate: FetchGate, out: &mut [u64; 5]) {
         use std::time::Instant;
-        self.cycle += 1;
-        let t = Instant::now();
-        self.commit();
-        out[0] += t.elapsed().as_nanos() as u64;
-        let t = Instant::now();
-        self.writeback();
-        out[1] += t.elapsed().as_nanos() as u64;
-        let t = Instant::now();
-        self.issue();
-        out[2] += t.elapsed().as_nanos() as u64;
-        let t = Instant::now();
-        self.dispatch();
-        out[3] += t.elapsed().as_nanos() as u64;
-        let t = Instant::now();
-        self.fetch(gate);
-        out[4] += t.elapsed().as_nanos() as u64;
-        for t in &mut self.threads {
-            if gate.is_gated(t.id) {
-                t.stats.gated_cycles += 1;
-            }
-        }
+        let mut last = Instant::now();
+        self.tick_with(gate, |stage| {
+            let now = Instant::now();
+            out[stage] += (now - last).as_nanos() as u64;
+            last = now;
+        });
     }
 
     /// Routes every subsequent cycle's issue stage through the retained
@@ -466,16 +439,30 @@ impl Cpu {
 
     /// Advances the core by one cycle.
     pub fn tick(&mut self, gate: FetchGate) {
+        self.tick_with(gate, |_| {});
+    }
+
+    /// The one stage sequence behind [`Self::tick`] and
+    /// [`Self::tick_timed`]: `lap(i)` runs right after stage `i` (commit,
+    /// writeback, issue, dispatch, fetch). Inlined so that `tick`'s no-op
+    /// lap compiles away.
+    #[inline(always)]
+    fn tick_with(&mut self, gate: FetchGate, mut lap: impl FnMut(usize)) {
         self.cycle += 1;
         self.commit();
+        lap(0);
         self.writeback();
+        lap(1);
         if self.reference_issue {
             self.issue_reference();
         } else {
             self.issue();
         }
+        lap(2);
         self.dispatch();
+        lap(3);
         self.fetch(gate);
+        lap(4);
         for t in &mut self.threads {
             if gate.is_gated(t.id) {
                 t.stats.gated_cycles += 1;

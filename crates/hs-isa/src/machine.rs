@@ -194,11 +194,6 @@ impl Machine {
         &self.memory
     }
 
-    /// Mutable access to the data memory.
-    pub fn memory_mut(&mut self) -> &mut FlatMemory {
-        &mut self.memory
-    }
-
     /// The program being executed.
     #[must_use]
     pub fn program(&self) -> &Program {

@@ -28,9 +28,6 @@ pub struct MemConfig {
     pub l2_latency: u32,
     /// Off-chip memory latency in cycles (added on an L2 miss).
     pub memory_latency: u32,
-    /// Enable next-line prefetch into L1 on L1 misses (off by default —
-    /// the paper's SimpleScalar baseline has no hardware prefetcher).
-    pub next_line_prefetch: bool,
 }
 
 impl MemConfig {
@@ -44,7 +41,6 @@ impl MemConfig {
             l1_latency: 2,
             l2_latency: 12,
             memory_latency: 300,
-            next_line_prefetch: false,
         }
     }
 
@@ -108,7 +104,6 @@ impl Default for MemConfig {
             l1_latency: 2,
             l2_latency: 12,
             memory_latency: 300,
-            next_line_prefetch: false,
         }
     }
 }

@@ -50,7 +50,6 @@ pub struct MemoryHierarchy {
     l1d: SetAssocCache,
     l2: SetAssocCache,
     memory_accesses: u64,
-    prefetches: u64,
 }
 
 impl MemoryHierarchy {
@@ -63,7 +62,6 @@ impl MemoryHierarchy {
             l2: SetAssocCache::new(config.l2),
             config,
             memory_accesses: 0,
-            prefetches: 0,
         }
     }
 
@@ -98,40 +96,10 @@ impl MemoryHierarchy {
             latency += self.config.memory_latency;
             self.memory_accesses += 1;
         }
-        if self.config.next_line_prefetch {
-            // Next-line prefetch: pull the sequentially following block
-            // into the same L1 (and the L2) off the critical path.
-            let l1 = match kind {
-                AccessKind::InstFetch => &mut self.l1i,
-                AccessKind::DataRead | AccessKind::DataWrite => &mut self.l1d,
-            };
-            let line = l1.geometry().line_bytes();
-            let next = l1.geometry().block_addr(addr) + line;
-            if !l1.probe(next) {
-                l1.access(next, false);
-                self.l2.access(next, false);
-                self.prefetches += 1;
-            }
-        }
         AccessResult {
             l1_hit: false,
             l2_hit,
             latency,
-        }
-    }
-
-    /// Number of next-line prefetches issued.
-    #[must_use]
-    pub fn prefetches(&self) -> u64 {
-        self.prefetches
-    }
-
-    /// Checks presence without side effects: would `addr` hit in L1?
-    #[must_use]
-    pub fn probe_l1(&self, kind: AccessKind, addr: u64) -> bool {
-        match kind {
-            AccessKind::InstFetch => self.l1i.probe(addr),
-            AccessKind::DataRead | AccessKind::DataWrite => self.l1d.probe(addr),
         }
     }
 
@@ -240,51 +208,5 @@ mod tests {
         let r = m.access(AccessKind::DataRead, 0);
         assert!(!r.l1_hit);
         assert!(m.stats().l1d.accesses() >= 2);
-    }
-}
-
-#[cfg(test)]
-mod prefetch_tests {
-    use super::*;
-
-    fn cfg_with_prefetch() -> MemConfig {
-        MemConfig {
-            next_line_prefetch: true,
-            ..MemConfig::tiny()
-        }
-    }
-
-    #[test]
-    fn streaming_scan_hits_after_prefetch() {
-        let cfg = cfg_with_prefetch();
-        let mut m = MemoryHierarchy::new(cfg);
-        let line = cfg.l1d.line_bytes();
-        // First line misses and prefetches the second.
-        assert!(!m.access(AccessKind::DataRead, 0).l1_hit);
-        assert!(
-            m.access(AccessKind::DataRead, line).l1_hit,
-            "next line prefetched"
-        );
-        assert!(m.prefetches() >= 1);
-    }
-
-    #[test]
-    fn prefetch_disabled_by_default() {
-        let mut m = MemoryHierarchy::new(MemConfig::tiny());
-        let line = MemConfig::tiny().l1d.line_bytes();
-        m.access(AccessKind::DataRead, 0);
-        assert!(!m.access(AccessKind::DataRead, line).l1_hit);
-        assert_eq!(m.prefetches(), 0);
-    }
-
-    #[test]
-    fn prefetch_does_not_fire_on_hits() {
-        let cfg = cfg_with_prefetch();
-        let mut m = MemoryHierarchy::new(cfg);
-        m.access(AccessKind::DataRead, 0);
-        let before = m.prefetches();
-        // Re-access the same (now resident) line: no new prefetch.
-        m.access(AccessKind::DataRead, 8);
-        assert_eq!(m.prefetches(), before);
     }
 }

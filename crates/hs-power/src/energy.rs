@@ -118,14 +118,6 @@ impl EnergyTable {
         self.idle.iter().sum()
     }
 
-    /// All resources with nonzero energy, for diagnostics.
-    pub fn iter_energies(&self) -> impl Iterator<Item = (Resource, f64)> + '_ {
-        ALL_RESOURCES
-            .iter()
-            .map(move |&r| (r, self.energy(r)))
-            .filter(|&(_, e)| e > 0.0)
-    }
-
     /// The full per-access energy table, indexed by [`Resource::index`]
     /// (joules per access, zeros included).
     ///

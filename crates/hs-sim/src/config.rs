@@ -454,6 +454,21 @@ mod tests {
     }
 
     #[test]
+    fn a_bad_sensor_value_is_reported_once() {
+        use crate::{HeatSink, Simulator};
+        let mut c = SimConfig::scaled(400.0);
+        c.sensors.noise_k = -1.0;
+        let Err(err) = Simulator::try_new(c, PolicyKind::SelectiveSedation, HeatSink::Realistic)
+        else {
+            panic!("negative sensor noise must be rejected");
+        };
+        assert_eq!(
+            err.to_string(),
+            "invalid config `noise_k`: noise must be non-negative"
+        );
+    }
+
+    #[test]
     fn time_scale_below_one_or_nan_is_a_config_error() {
         use crate::{HeatSink, SimError, Simulator};
         for time_scale in [0.5, f64::NAN] {

@@ -93,16 +93,6 @@ impl ScheduleOutcome {
     pub fn thread(&self, i: usize) -> &OsThreadOutcome {
         &self.threads[i]
     }
-
-    /// Total instructions committed by non-suspended (innocent) threads.
-    #[must_use]
-    pub fn innocent_throughput(&self) -> u64 {
-        self.threads
-            .iter()
-            .filter(|t| !t.suspended)
-            .map(|t| t.committed)
-            .sum()
-    }
 }
 
 #[derive(Debug)]

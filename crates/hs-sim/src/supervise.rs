@@ -340,12 +340,6 @@ impl ChaosPlan {
         self
     }
 
-    /// The planned permanent failures, by run id.
-    #[must_use]
-    pub fn permanent_ids(&self) -> &[usize] {
-        &self.permanent
-    }
-
     /// The stall duration injected by [`ChaosEvent::Stall`].
     #[must_use]
     pub fn stall_duration(&self) -> Duration {

@@ -3,34 +3,43 @@
 use std::error::Error;
 use std::fmt;
 
-/// Error returned when a thermal/sensor configuration is invalid.
+/// A rejected configuration value.
+///
+/// Sensor, thermal, DTM and simulator settings all report this one type:
+/// it lives here because `hs-thermal` sits below `hs-core`, which
+/// re-exports it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     field: &'static str,
-    reason: &'static str,
+    reason: String,
 }
 
 impl ConfigError {
     /// Creates an error for `field`.
     #[must_use]
-    pub fn new(field: &'static str, reason: &'static str) -> Self {
-        ConfigError { field, reason }
+    pub fn new(field: &'static str, reason: impl Into<String>) -> Self {
+        ConfigError {
+            field,
+            reason: reason.into(),
+        }
     }
 
-    /// The offending field.
+    /// The offending field (dotted path for nested configs).
     #[must_use]
     pub fn field(&self) -> &'static str {
         self.field
+    }
+
+    /// Why the value was rejected.
+    #[must_use]
+    pub fn reason(&self) -> &str {
+        &self.reason
     }
 }
 
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid thermal config `{}`: {}",
-            self.field, self.reason
-        )
+        write!(f, "invalid config `{}`: {}", self.field, self.reason)
     }
 }
 
@@ -206,6 +215,17 @@ impl ThermalConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn display_names_the_field() {
+        let e = ConfigError::new("ewma_shift", "shift must be in 1..32");
+        assert_eq!(
+            e.to_string(),
+            "invalid config `ewma_shift`: shift must be in 1..32"
+        );
+        assert_eq!(e.field(), "ewma_shift");
+        assert_eq!(e.reason(), "shift must be in 1..32");
+    }
 
     #[test]
     fn vertical_conductance_scales_with_area() {

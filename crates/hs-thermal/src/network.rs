@@ -178,12 +178,6 @@ impl ThermalNetwork {
         self.temps[SPREADER]
     }
 
-    /// Heat-sink temperature (K).
-    #[must_use]
-    pub fn sink_temp(&self) -> f64 {
-        self.temps[SINK]
-    }
-
     /// Advances the network `dt` seconds with constant per-block `power`.
     /// Internally subdivides into stable forward-Euler substeps.
     ///

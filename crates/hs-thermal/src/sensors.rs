@@ -9,8 +9,8 @@
 //!
 //! Beyond the benign error model, a [`SensorFaultPlan`] can inject
 //! stuck-at, dropout, drift, spike, and delayed-update faults into
-//! individual block sensors ([`SensorBank::read_at`]); the fault-free path
-//! ([`SensorBank::read`]) is bit-identical to a bank with an empty plan.
+//! individual block sensors ([`SensorBank::read_at`]); a bank with an
+//! empty plan reads exactly as the benign model alone.
 //!
 //! Noise and spike timing are generated with a deterministic xorshift PRNG
 //! so simulations remain reproducible.
@@ -179,14 +179,6 @@ impl SensorBank {
         self.history[idx][block]
     }
 
-    /// Reads every block's sensor given the true temperatures (fault-free
-    /// view — kept for compatibility; equivalent to [`SensorBank::read_at`]
-    /// with an empty plan).
-    #[must_use]
-    pub fn read(&mut self, net: &ThermalNetwork) -> [f64; NUM_BLOCKS] {
-        self.read_at(0, net).values
-    }
-
     /// Reads every block's sensor at `cycle`, applying any scheduled
     /// faults on top of the benign error model.
     #[must_use]
@@ -245,12 +237,6 @@ impl SensorBank {
     pub fn config(&self) -> &SensorConfig {
         &self.cfg
     }
-
-    /// The fault plan in effect.
-    #[must_use]
-    pub fn fault_plan(&self) -> &SensorFaultPlan {
-        &self.plan
-    }
 }
 
 #[cfg(test)]
@@ -273,7 +259,7 @@ mod tests {
     fn ideal_sensors_read_exactly() {
         let net = warm_net();
         let mut bank = SensorBank::new(SensorConfig::default());
-        let readings = bank.read(&net);
+        let readings = bank.read_at(0, &net).values;
         for b in ALL_BLOCKS {
             assert_eq!(readings[b.index()], net.block_temp(b));
         }
@@ -288,7 +274,7 @@ mod tests {
         });
         let mut any_diff = false;
         for _ in 0..50 {
-            let readings = bank.read(&net);
+            let readings = bank.read_at(0, &net).values;
             for b in ALL_BLOCKS {
                 let e = readings[b.index()] - net.block_temp(b);
                 assert!(e.abs() <= 0.5 + 1e-9, "noise {e} out of bound");
@@ -307,7 +293,7 @@ mod tests {
             quantization_k: 0.25,
             ..SensorConfig::default()
         });
-        for r in bank.read(&net) {
+        for r in bank.read_at(0, &net).values {
             let q = r / 0.25;
             assert!((q - q.round()).abs() < 1e-9, "{r} not on the 0.25 K grid");
         }
@@ -320,7 +306,7 @@ mod tests {
             offset_k: -1.5,
             ..SensorConfig::default()
         });
-        let readings = bank.read(&net);
+        let readings = bank.read_at(0, &net).values;
         for b in ALL_BLOCKS {
             assert!((readings[b.index()] - (net.block_temp(b) - 1.5)).abs() < 1e-9);
         }
@@ -333,7 +319,7 @@ mod tests {
         let mut a = SensorBank::new(cfg);
         let mut b = SensorBank::new(cfg);
         for _ in 0..10 {
-            assert_eq!(a.read(&net), b.read(&net));
+            assert_eq!(a.read_at(0, &net).values, b.read_at(0, &net).values);
         }
     }
 
@@ -344,7 +330,7 @@ mod tests {
         let mut plain = SensorBank::new(cfg);
         let mut planned = SensorBank::with_faults(cfg, SensorFaultPlan::seeded(77));
         for cycle in 0..20u64 {
-            let a = plain.read(&net);
+            let a = plain.read_at(0, &net).values;
             let b = planned.read_at(cycle * 800, &net);
             assert_eq!(a, b.values);
             assert_eq!(b.valid, [true; NUM_BLOCKS]);
