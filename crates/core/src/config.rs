@@ -83,7 +83,7 @@ impl Default for SedationConfig {
         SedationConfig {
             thresholds: DtmThresholds::default(),
             sample_period_cycles: 1000,
-            ewma_shift: 7,
+            ewma_shift: crate::monitor::EWMA_SHIFT,
             cooling_time_cycles: 40_000_000,
         }
     }

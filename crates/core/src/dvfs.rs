@@ -52,8 +52,8 @@ impl GlobalDvfs {
     }
 
     /// Whether the pipeline is currently throttled.
-    #[must_use]
-    pub fn is_throttling(&self) -> bool {
+    #[cfg(test)]
+    fn is_throttling(&self) -> bool {
         self.latch.is_engaged()
     }
 }

@@ -22,14 +22,14 @@
 //!    threshold bounds the *true* peak temperature at the emergency even
 //!    with the sensor lying. The price is a duty-cycled pipeline — graceful
 //!    degradation, not correctness loss.
-//! 3. **Halt** — fewer than [`FailsafeConfig::quorum`] trusted sensors
-//!    remain: the watchdog cannot bound anything anymore and hard-halts
-//!    fetch until quorum returns.
+//! 3. **Halt** — fewer than a strict majority of the sensors (7 of 12)
+//!    remain trusted: the watchdog cannot bound anything anymore and
+//!    hard-halts fetch until quorum returns.
 //!
 //! Every rung transition is reported to the OS ([`ReportKind`]).
 
 use crate::config::SedationConfig;
-use crate::guard::{GuardConfig, SensorGuard};
+use crate::guard::SensorGuard;
 use crate::latch::{EmergencyLatch, LatchState};
 use crate::policy::{DtmDecision, DtmInput, ThermalPolicy};
 use crate::report::{OsReport, ReportKind};
@@ -37,13 +37,21 @@ use crate::sedation::SelectiveSedation;
 use hs_cpu::pipeline::FetchGate;
 use hs_thermal::{Block, ALL_BLOCKS, NUM_BLOCKS};
 
-/// Configuration of the fault-tolerant DTM.
+/// Minimum number of trusted sensors to keep the pipeline running at all: a
+/// strict majority. Below this the watchdog halts fetch.
+const QUORUM: usize = NUM_BLOCKS / 2 + 1;
+
+/// Configuration of the fault-tolerant DTM. Every value but the wrapped
+/// policy's is a bound derived from the thermal model
+/// (`SimConfig::failsafe` in `hs-sim`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailsafeConfig {
     /// The wrapped selective-sedation policy.
     pub sedation: SedationConfig,
-    /// The hardened sensor front-end.
-    pub guard: GuardConfig,
+    /// The sensor guard's rate bound: maximum plausible |ΔT| between
+    /// consecutive sensor updates (K). Derive it from
+    /// `ThermalConfig::max_heating_rate`.
+    pub max_step_k: f64,
     /// Worst-case heating rate of any block while the pipeline runs
     /// (K/cycle). Derive from `ThermalConfig::max_heating_rate` and the
     /// clock frequency; it must upper-bound the real physics for the
@@ -53,23 +61,6 @@ pub struct FailsafeConfig {
     /// (K/cycle). Derive from `ThermalConfig::min_cooling_rate`; it must
     /// lower-bound the real physics.
     pub cool_rate_k_per_cycle: f64,
-    /// Minimum number of trusted sensors to keep the pipeline running at
-    /// all. Below this the watchdog halts fetch.
-    pub quorum: usize,
-}
-
-impl Default for FailsafeConfig {
-    fn default() -> Self {
-        FailsafeConfig {
-            sedation: SedationConfig::default(),
-            guard: GuardConfig::default(),
-            // Conservative placeholder rates (per-cycle at 4 GHz); the
-            // simulator derives the real bounds from its thermal constants.
-            heat_rate_k_per_cycle: 1.0e-6,
-            cool_rate_k_per_cycle: 1.0e-8,
-            quorum: NUM_BLOCKS / 2,
-        }
-    }
 }
 
 impl FailsafeConfig {
@@ -77,11 +68,16 @@ impl FailsafeConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error if any sub-configuration, rate, or the quorum is
-    /// invalid.
+    /// Returns an error if the sedation configuration, the rate bound or
+    /// either rate is invalid.
     pub fn try_validate(&self) -> Result<(), crate::ConfigError> {
         self.sedation.try_validate()?;
-        self.guard.try_validate()?;
+        if self.max_step_k.is_nan() || self.max_step_k <= 0.0 {
+            return Err(crate::ConfigError::new(
+                "max_step_k",
+                "rate bound must be positive",
+            ));
+        }
         if self.heat_rate_k_per_cycle.is_nan() || self.heat_rate_k_per_cycle <= 0.0 {
             return Err(crate::ConfigError::new(
                 "heat_rate_k_per_cycle",
@@ -94,12 +90,6 @@ impl FailsafeConfig {
                 "minimum cooling rate must be positive",
             ));
         }
-        if self.quorum == 0 || self.quorum > NUM_BLOCKS {
-            return Err(crate::ConfigError::new(
-                "quorum",
-                "quorum must be in 1..=NUM_BLOCKS",
-            ));
-        }
         Ok(())
     }
 
@@ -107,7 +97,8 @@ impl FailsafeConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any sub-configuration, rate, or the quorum is invalid.
+    /// Panics if the sedation configuration, the rate bound or either rate
+    /// is invalid.
     pub fn validate(&self) {
         if let Err(e) = self.try_validate() {
             panic!("{e}");
@@ -163,7 +154,7 @@ impl FaultTolerantDtm {
         cfg.validate();
         FaultTolerantDtm {
             cfg,
-            guard: SensorGuard::new(cfg.guard),
+            guard: SensorGuard::new(cfg.max_step_k),
             inner: SelectiveSedation::new(cfg.sedation, nthreads),
             mode: FailsafeMode::Selective,
             estimate: [0.0; NUM_BLOCKS],
@@ -190,8 +181,8 @@ impl FaultTolerantDtm {
     }
 
     /// The current worst-case temperature bound for one block (K).
-    #[must_use]
-    pub fn worst_case_estimate(&self, block: Block) -> f64 {
+    #[cfg(test)]
+    fn worst_case_estimate(&self, block: Block) -> f64 {
         self.estimate[block.index()]
     }
 
@@ -289,7 +280,7 @@ impl ThermalPolicy for FaultTolerantDtm {
         let reference_temp = self.estimate[Block::IntReg.index()];
 
         // Rung 3: quorum.
-        if self.guard.trusted_count() < self.cfg.quorum {
+        if self.guard.trusted_count() < QUORUM {
             self.enter_mode(FailsafeMode::Halt, cycle, reference_temp);
             self.prev_stall = true;
             return DtmDecision {
@@ -365,12 +356,11 @@ mod tests {
                 cooling_time_cycles: 10_000,
                 ..SedationConfig::default()
             },
+            max_step_k: 2.0,
             // Rates sized so the fallback dynamics play out within a few
             // thousand cycles in these unit tests.
             heat_rate_k_per_cycle: 2.0e-3,
             cool_rate_k_per_cycle: 5.0e-4,
-            quorum: 6,
-            ..FailsafeConfig::default()
         }
     }
 
@@ -483,7 +473,7 @@ mod tests {
         for s in 0..10 {
             d.step(&temps(s, 350.0), &ALL_SENSORS_VALID, &[5_000, 3_000]);
         }
-        // 8 of 12 sensors drop out: trusted count falls to 4 < quorum 6.
+        // 8 of 12 sensors drop out: trusted count falls to 4 < quorum 7.
         let mut valid = ALL_SENSORS_VALID;
         for v in valid.iter_mut().take(8) {
             *v = false;
@@ -546,12 +536,53 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "quorum")]
-    fn zero_quorum_rejected() {
-        let bad = FailsafeConfig {
-            quorum: 0,
-            ..FailsafeConfig::default()
-        };
-        let _ = FaultTolerantDtm::new(bad, 2);
+    fn fetch_halts_below_a_strict_majority_of_trusted_sensors() {
+        // DESIGN.md §4b: the watchdog halts unless 7 of the 12 sensors
+        // are trusted.
+        for (trusted, halts) in [(6, true), (7, false)] {
+            let mut d = Driver::new(FaultTolerantDtm::new(cfg(), 2));
+            for s in 0..10 {
+                d.step(&temps(s, 350.0), &ALL_SENSORS_VALID, &[5_000, 3_000]);
+            }
+            let mut valid = ALL_SENSORS_VALID;
+            for v in valid.iter_mut().skip(trusted) {
+                *v = false;
+            }
+            for s in 10..60 {
+                d.step(&temps(s, 350.0), &valid, &[5_000, 3_000]);
+            }
+            assert_eq!(d.p.guard.trusted_count(), trusted);
+            assert_eq!(
+                d.p.mode() == FailsafeMode::Halt,
+                halts,
+                "{trusted} trusted sensors: {:?}",
+                d.p.mode()
+            );
+            if halts {
+                assert!(d.last.global_stall, "the watchdog must halt fetch");
+            }
+        }
+    }
+
+    #[test]
+    fn non_positive_bounds_are_rejected() {
+        let bad = [
+            FailsafeConfig {
+                max_step_k: 0.0,
+                ..cfg()
+            },
+            FailsafeConfig {
+                heat_rate_k_per_cycle: -1.0,
+                ..cfg()
+            },
+            FailsafeConfig {
+                cool_rate_k_per_cycle: f64::NAN,
+                ..cfg()
+            },
+        ];
+        for c in bad {
+            assert!(c.try_validate().is_err(), "{c:?}");
+        }
+        cfg().validate();
     }
 }

@@ -17,102 +17,40 @@
 //! Anomaly checks per sensor update:
 //!
 //! 1. **Rate plausibility** — a physical block obeys an RC thermal network;
-//!    its temperature cannot move more than
-//!    [`GuardConfig::max_step_k`] between consecutive sensor updates
-//!    (derive it from `ThermalConfig::max_heating_rate`).
+//!    its temperature cannot move more than the guard's rate bound
+//!    `max_step_k` between consecutive sensor updates (derived from
+//!    `ThermalConfig::max_heating_rate`; see
+//!    [`FailsafeConfig::max_step_k`](crate::FailsafeConfig::max_step_k)).
 //! 2. **Cross-block consistency** — blocks share a die; a reading more than
-//!    [`GuardConfig::cross_block_delta_k`] away from the median of all
-//!    valid readings is implausible (catches stuck-at faults at
-//!    far-from-operating-point values and accumulated drift).
+//!    30 K away from the median of all valid readings is implausible
+//!    (catches stuck-at faults at far-from-operating-point values and
+//!    accumulated drift).
 //! 3. **Dropout** — the sensor produced no reading at all.
-//! 4. **Stuck detection** — a reading *bit-identical* for
-//!    [`GuardConfig::stuck_updates`] consecutive updates while at least one
-//!    other non-failed sensor moved. True block temperatures evolve
-//!    continuously, so exact repeats flag a latched output (benign
-//!    quantized sensors plateau too, which is why peers must be moving and
-//!    the window is long).
+//! 4. **Stuck detection** — a reading *bit-identical* for 24 consecutive
+//!    updates while at least one other non-failed sensor moved. True block
+//!    temperatures evolve continuously, so exact repeats flag a latched
+//!    output (benign quantized sensors plateau too, which is why peers must
+//!    be moving and the window is long).
+//!
+//! The health windows are constants: 2 consecutive anomalies make a sensor
+//! `Suspect`, 6 make it `Failed`, and 32 consecutive clean updates step it
+//! back up one level.
 
 use crate::report::ReportKind;
 use hs_thermal::{Block, ALL_BLOCKS, NUM_BLOCKS};
 
-/// Configuration of the hardened sensor front-end.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GuardConfig {
-    /// Maximum plausible |ΔT| between consecutive sensor updates (K).
-    pub max_step_k: f64,
-    /// Maximum plausible deviation from the median of all valid readings
-    /// (K).
-    pub cross_block_delta_k: f64,
-    /// Bit-identical readings (while peers move) tolerated before the
-    /// sensor is considered latched.
-    pub stuck_updates: u32,
-    /// Consecutive anomalous updates before `Healthy → Suspect`.
-    pub suspect_after: u32,
-    /// Consecutive anomalous updates before `Suspect → Failed`.
-    pub fail_after: u32,
-    /// Consecutive clean updates before health steps back up one level
-    /// (`Failed → Suspect → Healthy`) — the recovery hysteresis.
-    pub recover_after: u32,
-}
-
-impl Default for GuardConfig {
-    fn default() -> Self {
-        GuardConfig {
-            max_step_k: 2.0,
-            cross_block_delta_k: 30.0,
-            stuck_updates: 24,
-            suspect_after: 2,
-            fail_after: 6,
-            recover_after: 32,
-        }
-    }
-}
-
-impl GuardConfig {
-    /// Validates the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on non-positive tolerances or zero windows.
-    pub fn try_validate(&self) -> Result<(), crate::ConfigError> {
-        if self.max_step_k.is_nan() || self.max_step_k <= 0.0 {
-            return Err(crate::ConfigError::new(
-                "max_step_k",
-                "rate bound must be positive",
-            ));
-        }
-        if self.cross_block_delta_k.is_nan() || self.cross_block_delta_k <= 0.0 {
-            return Err(crate::ConfigError::new(
-                "cross_block_delta_k",
-                "cross-block bound must be positive",
-            ));
-        }
-        if self.stuck_updates == 0 || self.suspect_after == 0 || self.recover_after == 0 {
-            return Err(crate::ConfigError::new(
-                "guard windows",
-                "stuck/suspect/recovery windows must be nonzero",
-            ));
-        }
-        if self.fail_after <= self.suspect_after {
-            return Err(crate::ConfigError::new(
-                "fail_after",
-                "fail_after must exceed suspect_after",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Validates the parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive tolerances or zero windows.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-}
+/// Maximum plausible deviation from the median of all valid readings (K).
+const CROSS_BLOCK_DELTA_K: f64 = 30.0;
+/// Bit-identical readings (while peers move) tolerated before the sensor
+/// is considered latched.
+const STUCK_UPDATES: u32 = 24;
+/// Consecutive anomalous updates before `Healthy → Suspect`.
+const SUSPECT_AFTER: u32 = 2;
+/// Consecutive anomalous updates before `Suspect → Failed`.
+const FAIL_AFTER: u32 = 6;
+/// Consecutive clean updates before health steps back up one level
+/// (`Failed → Suspect → Healthy`) — the recovery hysteresis.
+const RECOVER_AFTER: u32 = 32;
 
 /// Per-sensor health.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -220,22 +158,25 @@ fn frame_median(values: &[f64; NUM_BLOCKS], valid: &[bool; NUM_BLOCKS]) -> f64 {
 /// health-transition events.
 #[derive(Debug, Clone)]
 pub struct SensorGuard {
-    cfg: GuardConfig,
+    /// Maximum plausible |ΔT| between consecutive sensor updates (K).
+    max_step_k: f64,
     state: [SensorState; NUM_BLOCKS],
     events: Vec<GuardEvent>,
 }
 
 impl SensorGuard {
-    /// Creates a guard with all sensors healthy.
+    /// Creates a guard with all sensors healthy that deems a reading
+    /// implausible when it moves more than `max_step_k` kelvin between
+    /// consecutive sensor updates.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid.
+    /// Panics unless `max_step_k` is positive.
     #[must_use]
-    pub fn new(cfg: GuardConfig) -> Self {
-        cfg.validate();
+    pub fn new(max_step_k: f64) -> Self {
+        assert!(max_step_k > 0.0, "rate bound must be positive");
         SensorGuard {
-            cfg,
+            max_step_k,
             state: [SensorState::default(); NUM_BLOCKS],
             events: Vec::new(),
         }
@@ -327,13 +268,13 @@ impl SensorGuard {
                 // still passing post-spike recovery readings).
                 let raw_jump = s
                     .last_raw()
-                    .is_some_and(|prev| (r - prev).abs() > self.cfg.max_step_k);
-                let output_jump = (r - s.output).abs() > 2.0 * self.cfg.max_step_k;
+                    .is_some_and(|prev| (r - prev).abs() > self.max_step_k);
+                let output_jump = (r - s.output).abs() > 2.0 * self.max_step_k;
                 if raw_jump && output_jump {
                     anomaly = Some("rate");
-                } else if (r - median).abs() > self.cfg.cross_block_delta_k {
+                } else if (r - median).abs() > CROSS_BLOCK_DELTA_K {
                     anomaly = Some("cross-block");
-                } else if s.identical_streak >= self.cfg.stuck_updates && peers_moved[i] {
+                } else if s.identical_streak >= STUCK_UPDATES && peers_moved[i] {
                     anomaly = Some("stuck");
                 }
                 s.push_raw(r);
@@ -353,20 +294,20 @@ impl SensorGuard {
             let before = s.health;
             match s.health {
                 SensorHealth::Healthy => {
-                    if s.anomaly_streak >= self.cfg.suspect_after {
+                    if s.anomaly_streak >= SUSPECT_AFTER {
                         s.health = SensorHealth::Suspect;
                     }
                 }
                 SensorHealth::Suspect => {
-                    if s.anomaly_streak >= self.cfg.fail_after {
+                    if s.anomaly_streak >= FAIL_AFTER {
                         s.health = SensorHealth::Failed;
-                    } else if s.clean_streak >= self.cfg.recover_after {
+                    } else if s.clean_streak >= RECOVER_AFTER {
                         s.health = SensorHealth::Healthy;
                         s.clean_streak = 0;
                     }
                 }
                 SensorHealth::Failed => {
-                    if s.clean_streak >= self.cfg.recover_after {
+                    if s.clean_streak >= RECOVER_AFTER {
                         s.health = SensorHealth::Suspect;
                         s.clean_streak = 0;
                     }
@@ -399,6 +340,9 @@ mod tests {
 
     const REG: Block = Block::IntReg;
 
+    /// A rate bound well above the benign frames' drift.
+    const MAX_STEP_K: f64 = 2.0;
+
     fn benign_frame(step: u64) -> [f64; NUM_BLOCKS] {
         // Every block drifts slowly and uniquely so no two frames repeat.
         let mut v = [0.0; NUM_BLOCKS];
@@ -414,7 +358,7 @@ mod tests {
 
     #[test]
     fn benign_readings_stay_healthy_and_pass_through() {
-        let mut g = SensorGuard::new(GuardConfig::default());
+        let mut g = SensorGuard::new(MAX_STEP_K);
         for step in 0..200 {
             let v = benign_frame(step);
             let f = g.observe(step * 800, &v, &all_valid());
@@ -428,7 +372,7 @@ mod tests {
 
     #[test]
     fn single_spike_is_voted_out_without_losing_trust() {
-        let mut g = SensorGuard::new(GuardConfig::default());
+        let mut g = SensorGuard::new(MAX_STEP_K);
         for step in 0..10 {
             g.observe(step, &benign_frame(step), &all_valid());
         }
@@ -446,7 +390,7 @@ mod tests {
 
     #[test]
     fn stuck_low_sensor_walks_to_failed() {
-        let mut g = SensorGuard::new(GuardConfig::default());
+        let mut g = SensorGuard::new(MAX_STEP_K);
         for step in 0..10 {
             g.observe(step, &benign_frame(step), &all_valid());
         }
@@ -470,8 +414,7 @@ mod tests {
 
     #[test]
     fn stuck_at_plausible_value_is_caught_by_stuck_detection() {
-        let cfg = GuardConfig::default();
-        let mut g = SensorGuard::new(cfg);
+        let mut g = SensorGuard::new(MAX_STEP_K);
         for step in 0..5 {
             g.observe(step, &benign_frame(step), &all_valid());
         }
@@ -492,8 +435,7 @@ mod tests {
 
     #[test]
     fn dropouts_fail_and_recovery_has_hysteresis() {
-        let cfg = GuardConfig::default();
-        let mut g = SensorGuard::new(cfg);
+        let mut g = SensorGuard::new(MAX_STEP_K);
         for step in 0..5 {
             g.observe(step, &benign_frame(step), &all_valid());
         }
@@ -527,7 +469,7 @@ mod tests {
 
     #[test]
     fn all_sensors_invalid_is_survivable() {
-        let mut g = SensorGuard::new(GuardConfig::default());
+        let mut g = SensorGuard::new(MAX_STEP_K);
         for step in 0..3 {
             g.observe(step, &benign_frame(step), &all_valid());
         }
@@ -548,19 +490,8 @@ mod tests {
     }
 
     #[test]
-    fn invalid_config_is_rejected() {
-        assert!(GuardConfig {
-            max_step_k: 0.0,
-            ..GuardConfig::default()
-        }
-        .try_validate()
-        .is_err());
-        assert!(GuardConfig {
-            fail_after: 1,
-            suspect_after: 2,
-            ..GuardConfig::default()
-        }
-        .try_validate()
-        .is_err());
+    #[should_panic(expected = "rate bound must be positive")]
+    fn non_positive_rate_bound_is_rejected() {
+        let _ = SensorGuard::new(0.0);
     }
 }

@@ -87,7 +87,7 @@ pub use dvfs::GlobalDvfs;
 pub use error::{ConfigError, ErrorClass};
 pub use failsafe::{FailsafeConfig, FailsafeMode, FaultTolerantDtm};
 pub use faults::{CounterFault, CounterFaultKind, CounterFaultPlan, MAX_COUNTER_FAULTS};
-pub use guard::{GuardConfig, GuardEvent, GuardedFrame, SensorGuard, SensorHealth};
+pub use guard::{GuardEvent, GuardedFrame, SensorGuard, SensorHealth};
 pub use monitor::Ewma;
 pub use policy::{DtmDecision, DtmInput, NoDtm, ThermalPolicy, ALL_SENSORS_VALID};
 pub use rate_cap::{RateCap, RateCapConfig};

@@ -9,6 +9,10 @@
 //! arithmetic where the update is one subtraction, one addition, and two
 //! shifts — no multipliers.
 
+/// The paper's EWMA weight `x = 1/128` as a right shift: selective
+/// sedation's default and the rate-cap strawman's only weight.
+pub(crate) const EWMA_SHIFT: u32 = 7;
+
 /// Fixed-point fractional bits. 16 bits keeps sub-access precision while
 /// leaving 48 bits of headroom for the integer part.
 const FRAC_BITS: u32 = 16;

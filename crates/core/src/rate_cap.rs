@@ -19,23 +19,21 @@
 //! Selective sedation avoids the dilemma by triggering on *temperature*
 //! and using the averages only for attribution.
 
-use crate::monitor::Ewma;
+use crate::monitor::{Ewma, EWMA_SHIFT};
 use crate::policy::{DtmDecision, DtmInput, ThermalPolicy};
 use crate::report::{OsReport, ReportKind};
 use hs_cpu::pipeline::FetchGate;
 use hs_cpu::{ThreadId, MAX_THREADS};
 use hs_thermal::{Block, ALL_BLOCKS, NUM_BLOCKS};
 
-/// Configuration for the rate-cap strawman.
+/// Configuration for the rate-cap strawman. Its monitors use the paper's
+/// `x = 1/128` weight, and the monitor period is the spacing of the cycles
+/// it is sampled at.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateCapConfig {
     /// Sedate when a thread's weighted average at any monitored block
     /// exceeds this many accesses **per cycle**.
     pub cap_accesses_per_cycle: f64,
-    /// Monitor sampling period in cycles.
-    pub sample_period_cycles: u64,
-    /// EWMA weight as a right shift (x = 1/2^shift).
-    pub ewma_shift: u32,
     /// How long a capped thread stays gated, in cycles.
     pub penalty_cycles: u64,
 }
@@ -44,8 +42,6 @@ impl Default for RateCapConfig {
     fn default() -> Self {
         RateCapConfig {
             cap_accesses_per_cycle: 6.0,
-            sample_period_cycles: 1000,
-            ewma_shift: 7,
             penalty_cycles: 2_000_000,
         }
     }
@@ -56,8 +52,7 @@ impl RateCapConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error on a non-positive cap, zero periods, or a bad
-    /// shift.
+    /// Returns an error on a non-positive cap or a zero penalty.
     pub fn try_validate(&self) -> Result<(), crate::ConfigError> {
         if self.cap_accesses_per_cycle.is_nan() || self.cap_accesses_per_cycle <= 0.0 {
             return Err(crate::ConfigError::new(
@@ -65,22 +60,10 @@ impl RateCapConfig {
                 "cap must be positive",
             ));
         }
-        if self.sample_period_cycles == 0 {
-            return Err(crate::ConfigError::new(
-                "sample_period_cycles",
-                "sample period must be nonzero",
-            ));
-        }
         if self.penalty_cycles == 0 {
             return Err(crate::ConfigError::new(
                 "penalty_cycles",
                 "penalty must be nonzero",
-            ));
-        }
-        if !(1..32).contains(&self.ewma_shift) {
-            return Err(crate::ConfigError::new(
-                "ewma_shift",
-                "ewma shift must be in 1..32",
             ));
         }
         Ok(())
@@ -90,18 +73,17 @@ impl RateCapConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a non-positive cap, zero periods, or a bad shift.
+    /// Panics on a non-positive cap or a zero penalty.
     pub fn validate(&self) {
         if let Err(e) = self.try_validate() {
             panic!("{e}");
         }
     }
 
-    /// Returns a copy with time constants divided by `factor`.
+    /// Returns a copy with the penalty divided by `factor`.
     #[must_use]
     pub fn with_time_scale(mut self, factor: f64) -> Self {
         assert!(factor >= 1.0);
-        self.sample_period_cycles = ((self.sample_period_cycles as f64 / factor) as u64).max(50);
         self.penalty_cycles = ((self.penalty_cycles as f64 / factor) as u64).max(1);
         self
     }
@@ -114,6 +96,9 @@ pub struct RateCap {
     nthreads: usize,
     monitors: [[Ewma; NUM_BLOCKS]; MAX_THREADS],
     gated_until: [Option<u64>; MAX_THREADS],
+    /// The previous sampling instant: each sample's counts cover the
+    /// cycles since it.
+    last_cycle: u64,
     false_positive_candidates: u64,
     reports: Vec<OsReport>,
 }
@@ -131,8 +116,9 @@ impl RateCap {
         RateCap {
             cfg,
             nthreads,
-            monitors: [[Ewma::new(cfg.ewma_shift); NUM_BLOCKS]; MAX_THREADS],
+            monitors: [[Ewma::new(EWMA_SHIFT); NUM_BLOCKS]; MAX_THREADS],
             gated_until: [None; MAX_THREADS],
+            last_cycle: 0,
             false_positive_candidates: 0,
             reports: Vec::new(),
         }
@@ -158,7 +144,9 @@ impl ThermalPolicy for RateCap {
 
     fn on_sample(&mut self, input: &DtmInput<'_>) -> DtmDecision {
         let cycle = input.cycle;
-        let cap_per_period = self.cfg.cap_accesses_per_cycle * self.cfg.sample_period_cycles as f64;
+        let period = cycle.saturating_sub(self.last_cycle);
+        self.last_cycle = cycle;
+        let cap_per_period = self.cfg.cap_accesses_per_cycle * period as f64;
         let mut gate = FetchGate::open();
         for t in 0..self.nthreads {
             // Expire penalties.
@@ -217,11 +205,13 @@ mod tests {
         }
     }
 
-    fn drive(p: &mut RateCap, rates: &[u64], n: u64, start: u64) -> DtmDecision {
+    /// Samples `p` `n` times, every `period` cycles from `start`, with
+    /// `rates[t]` accesses per sample for thread `t`.
+    fn drive_every(p: &mut RateCap, period: u64, rates: &[u64], n: u64, start: u64) -> DtmDecision {
         let temps = [350.0; NUM_BLOCKS];
         let mut d = DtmDecision::default();
         for i in 0..n {
-            let cycle = start + (i + 1) * 1000;
+            let cycle = start + (i + 1) * period;
             let mut counts = BlockCounts::new();
             for (t, &r) in rates.iter().enumerate() {
                 // Don't keep feeding accesses to a gated thread.
@@ -239,6 +229,11 @@ mod tests {
             });
         }
         d
+    }
+
+    /// [`drive_every`] at the paper's 1000-cycle cadence.
+    fn drive(p: &mut RateCap, rates: &[u64], n: u64, start: u64) -> DtmDecision {
+        drive_every(p, 1000, rates, n, start)
     }
 
     #[test]
@@ -283,6 +278,16 @@ mod tests {
         // Far beyond the penalty window, with low rates, the gate lifts.
         let d = drive(&mut p, &[0, 2_000], 600, 10_000_000);
         assert!(!d.gate.is_gated(ThreadId(0)));
+    }
+
+    #[test]
+    fn the_cap_scales_with_the_sampling_cadence() {
+        // Sampled every 500 cycles, a thread averaging 1.5x the cap per
+        // cycle is over it and one averaging 0.9x is not.
+        let mut p = RateCap::new(cfg(), 2);
+        let d = drive_every(&mut p, 500, &[4_500, 2_700], 600, 0);
+        assert!(d.gate.is_gated(ThreadId(0)), "1.5x the cap must be gated");
+        assert!(!d.gate.is_gated(ThreadId(1)), "0.9x the cap must not be");
     }
 
     #[test]

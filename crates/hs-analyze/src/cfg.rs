@@ -51,17 +51,20 @@ pub enum TripCount {
     Unknown,
 }
 
+/// Trip count assumed for loops whose bound cannot be recovered.
+const DEFAULT_TRIP: u64 = 16;
+
 impl TripCount {
     /// The count to use when *weighting* nested work: finite counts pass
-    /// through, unknown loops get a conservative `default_trip`, and
-    /// infinite loops are clamped (their weight only needs to dominate
-    /// whatever runs outside them).
+    /// through, unknown loops get a conservative 16, and infinite loops
+    /// are clamped (their weight only needs to dominate whatever runs
+    /// outside them).
     #[must_use]
-    pub fn weight(self, default_trip: u64) -> f64 {
+    pub fn weight(self) -> f64 {
         match self {
             TripCount::Finite(n) => n as f64,
             TripCount::Infinite => 1e6,
-            TripCount::Unknown => default_trip as f64,
+            TripCount::Unknown => DEFAULT_TRIP as f64,
         }
     }
 }

@@ -307,7 +307,6 @@ pub fn loop_memory(
     li: usize,
     mem: &MemConfig,
     sibling_l1_footprint: u64,
-    default_trip: u64,
 ) -> LoopMemory {
     let lp = &cfg.loops[li];
     let direct: Vec<usize> = cfg
@@ -342,7 +341,7 @@ pub fn loop_memory(
             // `trip x stream-instructions` accesses.
             let accesses = match lp.trip {
                 TripCount::Infinite => f64::INFINITY,
-                t => t.weight(default_trip) * s.insts.len() as f64,
+                t => t.weight() * s.insts.len() as f64,
             };
             let lines = (footprint / line) as f64;
             p_l1 = (lines / accesses).min(1.0);
@@ -643,7 +642,7 @@ mod tests {
         let p = b.build().unwrap();
         let cfg = Cfg::build(&p);
         assert_eq!(cfg.loops.len(), 1);
-        let lm = loop_memory(&p, &cfg, 0, &mem, 0, 16);
+        let lm = loop_memory(&p, &cfg, 0, &mem, 0);
         let missing: Vec<_> = lm
             .miss
             .values()
@@ -688,7 +687,7 @@ mod tests {
         b.branch(BranchCond::Ne, counter, Operand::Imm(0), top);
         let p = b.build().unwrap();
         let cfg = Cfg::build(&p);
-        let lm = loop_memory(&p, &cfg, 0, &mem, 0, 16);
+        let lm = loop_memory(&p, &cfg, 0, &mem, 0);
         let m = lm.miss.values().next().unwrap();
         assert!((m.p_l1 - 1.0).abs() < 1e-12, "L1 thrash: {m:?}");
         assert_eq!(m.p_l2, 0.0, "fits L2: {m:?}");

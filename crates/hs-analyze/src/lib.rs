@@ -87,13 +87,26 @@ use hs_mem::config::MemConfig;
 use hs_power::{resource_block, EnergyTable, PowerModel};
 use hs_thermal::{Block, ThermalConfig, ThermalNetwork, ALL_BLOCKS, NUM_BLOCKS};
 
+/// Wall-clock seconds of sustained activity that would fully heat the hot
+/// spot (the thermal rise time).
+const HEATING_SECONDS: f64 = 0.0025;
+
+/// Fraction of the rise time a loop must sustain to be dangerous.
+const SUSTAIN_FRACTION: f64 = 1.0 / 16.0;
+
+/// Lower bound on the sustain threshold (cycles), so aggressive time
+/// scaling never classifies microscopic bursts as attacks.
+const SUSTAIN_FLOOR_CYCLES: f64 = 4000.0;
+
 /// Everything the analyzer needs to judge a program against a machine.
 ///
 /// Mirrors the simulator's configuration (same pipeline widths, cache
 /// geometry, energy table, thermal network, and DTM thresholds) so the
 /// static verdict refers to the same physical machine the program would
 /// run on. `hs-sim` derives one from its `SimConfig` for the admission
-/// hook.
+/// hook. The screen's own operating point — the sustain threshold, the
+/// verdict margins and the trip assumed for unknown loops — is constant
+/// (DESIGN.md §4c).
 #[derive(Debug, Clone)]
 pub struct AnalyzerConfig {
     /// Pipeline widths and functional-unit counts.
@@ -111,28 +124,6 @@ pub struct AnalyzerConfig {
     /// Workload time-scale factor (loop trips shrink by this factor, so
     /// the sustain threshold shrinks with it).
     pub time_scale: f64,
-    /// Wall-clock seconds of sustained activity that would fully heat the
-    /// hot spot (the thermal rise time).
-    pub heating_seconds: f64,
-    /// Fraction of the rise time a loop must sustain to be dangerous.
-    pub sustain_fraction: f64,
-    /// Lower bound on the sustain threshold (cycles), so aggressive time
-    /// scaling never classifies microscopic bursts as attacks.
-    pub sustain_floor_cycles: f64,
-    /// Kelvin *above* the DTM emergency threshold a loop's steady state
-    /// must reach for a heat-stroke verdict. The static model carries a
-    /// ±1–2 K error bar against the dynamic reference, and programs that
-    /// merely graze the emergency line (`art`, `gzip` measure a handful of
-    /// marginal crossings per quantum) are exactly what the reactive DTM
-    /// already handles at negligible victim cost; an attack has to *pin*
-    /// the block decisively hot.
-    pub attack_margin_k: f64,
-    /// Kelvin below the heat-stroke bar (emergency + attack margin) still
-    /// flagged `Suspicious`. Kept narrower than the attack margin so the
-    /// marginal crossers stay benign and only near-attacks are flagged.
-    pub suspicious_margin_k: f64,
-    /// Trip count assumed for loops whose bound cannot be recovered.
-    pub default_trip: u64,
 }
 
 impl Default for AnalyzerConfig {
@@ -145,23 +136,18 @@ impl Default for AnalyzerConfig {
             thresholds: DtmThresholds::default(),
             freq_hz: 4.0e9,
             time_scale: 1.0,
-            heating_seconds: 0.0025,
-            sustain_fraction: 1.0 / 16.0,
-            sustain_floor_cycles: 4000.0,
-            attack_margin_k: 2.0,
-            suspicious_margin_k: 0.5,
-            default_trip: 16,
         }
     }
 }
 
 impl AnalyzerConfig {
     /// The minimum back-to-back cycles a loop must sustain its power
-    /// density to count as a heating episode.
+    /// density to count as a heating episode: 1/16 of the hot spot's
+    /// 2.5 ms rise time, time-scaled, and never under 4000 cycles.
     #[must_use]
     pub fn sustain_threshold_cycles(&self) -> f64 {
-        (self.heating_seconds * self.freq_hz / self.time_scale * self.sustain_fraction)
-            .max(self.sustain_floor_cycles)
+        (HEATING_SECONDS * self.freq_hz / self.time_scale * SUSTAIN_FRACTION)
+            .max(SUSTAIN_FLOOR_CYCLES)
     }
 }
 
@@ -199,13 +185,13 @@ pub fn analyze_with(
     // Memory behaviour: footprints first (sibling pressure needs the full
     // program's), then the miss probabilities.
     let prelim: Vec<LoopMemory> = (0..nloops)
-        .map(|li| loop_memory(program, &graph, li, &cfg.mem, 0, cfg.default_trip))
+        .map(|li| loop_memory(program, &graph, li, &cfg.mem, 0))
         .collect();
     let total_footprint: u64 = prelim.iter().map(|m| m.l1_footprint).sum();
     let mems: Vec<LoopMemory> = (0..nloops)
         .map(|li| {
             let siblings = total_footprint - prelim[li].l1_footprint;
-            loop_memory(program, &graph, li, &cfg.mem, siblings, cfg.default_trip)
+            loop_memory(program, &graph, li, &cfg.mem, siblings)
         })
         .collect();
 
@@ -233,7 +219,7 @@ pub fn analyze_with(
         let direct_accum = accum;
         let mut cycles = own_cycles;
         for c in graph.children_of(li) {
-            let w = graph.loops[c].trip.weight(cfg.default_trip);
+            let w = graph.loops[c].trip.weight();
             accum.add_scaled(&phys[c].accum, w);
             cycles += w * phys[c].cycles;
         }
@@ -254,7 +240,7 @@ pub fn analyze_with(
         let (hot, temp) = steady_state(&model, &cfg.thermal, &rates, cfg.freq_hz);
         let sustain = match lp.trip {
             TripCount::Infinite => f64::INFINITY,
-            t => t.weight(cfg.default_trip) * cycles,
+            t => t.weight() * cycles,
         };
         let direct_cycles = ph.direct_cycles.max(1.0);
         let span = (
@@ -389,7 +375,7 @@ pub fn analyze_with(
     root_insts.sort_unstable();
     let mut root_cycles = direct_cycles(program, &cfg.cpu, &cfg.mem, &root_insts, &empty);
     for li in graph.top_loops() {
-        let w = graph.loops[li].trip.weight(cfg.default_trip);
+        let w = graph.loops[li].trip.weight();
         root_accum.add_scaled(&phys[li].accum, w);
         root_cycles += w * phys[li].cycles;
     }

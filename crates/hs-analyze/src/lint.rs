@@ -37,6 +37,20 @@ use hs_isa::Program;
 use hs_power::{resource_block, PowerModel};
 use hs_thermal::{Block, PowerVector};
 
+/// Kelvin *above* the DTM emergency threshold a loop's steady state must
+/// reach for a heat-stroke verdict. The static model carries a ±1–2 K
+/// error bar against the dynamic reference, and programs that merely graze
+/// the emergency line (`art`, `gzip` measure a handful of marginal
+/// crossings per quantum) are exactly what the reactive DTM already
+/// handles at negligible victim cost; an attack has to *pin* the block
+/// decisively hot.
+const ATTACK_MARGIN_K: f64 = 2.0;
+
+/// Kelvin below the heat-stroke bar (emergency + attack margin) still
+/// flagged `Suspicious`. Kept narrower than the attack margin so the
+/// marginal crossers stay benign and only near-attacks are flagged.
+const SUSPICIOUS_MARGIN_K: f64 = 0.5;
+
 /// How loudly a diagnostic speaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -153,13 +167,13 @@ impl<'a> LintContext<'a> {
     /// The heat-stroke temperature bar (emergency plus attack margin).
     #[must_use]
     pub fn stroke_k(&self) -> f64 {
-        self.config.thresholds.emergency_k + self.config.attack_margin_k
+        self.config.thresholds.emergency_k + ATTACK_MARGIN_K
     }
 
     /// The suspicion temperature bar, just below the heat-stroke bar.
     #[must_use]
     pub fn suspicious_k(&self) -> f64 {
-        self.stroke_k() - self.config.suspicious_margin_k
+        self.stroke_k() - SUSPICIOUS_MARGIN_K
     }
 
     /// The sustain threshold the verdicts are judged against (cycles).
@@ -260,7 +274,7 @@ impl ThermalLint for SteadyStatePass {
 #[must_use]
 pub fn phase_schedule(cx: &LintContext<'_>, li: usize) -> Option<Vec<Phase>> {
     let lp = &cx.graph.loops[li];
-    if lp.trip.weight(cx.config.default_trip) < 2.0 {
+    if lp.trip.weight() < 2.0 {
         return None;
     }
     let mut children = cx.graph.children_of(li);
@@ -274,7 +288,7 @@ pub fn phase_schedule(cx: &LintContext<'_>, li: usize) -> Option<Vec<Phase>> {
     let mut phases = Vec::new();
     for &c in &children {
         let child = &cx.loops[c];
-        let cycles = cx.graph.loops[c].trip.weight(cx.config.default_trip) * child.cycles_per_iter;
+        let cycles = cx.graph.loops[c].trip.weight() * child.cycles_per_iter;
         phases.push(Phase {
             power: cx.power_at(&child.rates),
             seconds: cycles / cx.config.freq_hz,

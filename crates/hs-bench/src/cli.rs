@@ -62,12 +62,16 @@
 //! | 3 | invalid configuration ([`SimError::Config`]) |
 //! | 4 | invalid run matrix (no/too many workloads, runaway combination, duplicate label) |
 //! | 5 | admission screening rejected a workload |
-//! | 6 | interrupted (`--abort-after`, aborted campaign) |
+//! | 6 | interrupted (`--abort-after`) or aborted campaign (quarantined runs its renderer needs) |
 //! | 7 | unusable run journal |
 //!
 //! Rendered experiment text goes to stdout; progress and timing go to
 //! stderr, so stdout stays byte-deterministic. Supervised runs add a
-//! `quarantined: N` stderr line per experiment.
+//! `quarantined: N` stderr line per experiment. When a supervision flag
+//! quarantines runs of an experiment that declares no supervision, its
+//! `--json` artifact (which records the quarantine) is still written, but
+//! it is not rendered: `campaign` prints one stderr line per quarantined
+//! run and exits 6.
 
 use crate::experiments::{find, Experiment, EXPERIMENTS};
 use hs_sim::admission::check_analysis_artifact;
@@ -379,6 +383,32 @@ fn artifact_path(json: &Path, name: &str, selected: usize) -> PathBuf {
     }
 }
 
+/// Refuses to render `e`'s report when runs of it were quarantined and `e`
+/// declares no supervision: its renderer reads every run it declared.
+/// `chaos` declares one and renders its own quarantine.
+///
+/// # Errors
+///
+/// An aborted-campaign [`Failure`] (exit code 6) with one line per
+/// quarantined run: id, label, kind and detail.
+fn renderable(e: &Experiment, report: &CampaignReport) -> Result<(), Failure> {
+    if e.supervision.is_some() || report.quarantined.is_empty() {
+        return Ok(());
+    }
+    let mut message = format!(
+        "{}: not rendered, {} of its runs were quarantined",
+        e.name,
+        report.quarantined.len()
+    );
+    for q in &report.quarantined {
+        message.push_str(&format!(
+            "\n  run {} `{}`: {}: {}",
+            q.id, q.label, q.kind, q.detail
+        ));
+    }
+    Err(Failure { message, code: 6 })
+}
+
 /// The harness configuration for the given `HS_TIME_SCALE` and
 /// `HS_SUBSET` values (`None` = unset), both checked before anything runs.
 ///
@@ -479,6 +509,7 @@ pub fn run(args: impl IntoIterator<Item = String>) -> Result<(), Failure> {
                 .map_err(|err| format!("cannot write {}: {err}", path.display()))?;
             eprintln!("      wrote {}", path.display());
         }
+        renderable(e, &report)?;
         let mut out = stdout.lock();
         (e.render)(&cfg, &report, &mut out).map_err(|err| format!("{}: {err}", e.name))?;
         if let Some(build_artifact) = e.artifact {
@@ -706,6 +737,40 @@ mod tests {
             opts.supervision_for(fig3, &cfg, 1).is_some(),
             "flags opt any experiment in"
         );
+    }
+
+    #[test]
+    fn quarantined_runs_abort_an_unsupervised_experiment_unrendered() {
+        let report = CampaignReport {
+            name: "fig3".into(),
+            runs: Vec::new(),
+            quarantined: vec![hs_sim::QuarantinedRun {
+                id: 0,
+                label: "gcc".into(),
+                attempts: 1,
+                kind: "timed-out:wall".into(),
+                detail: "attempt overran the wall-clock deadline".into(),
+            }],
+            jobs: 1,
+            warmups: 0,
+            wall: Duration::ZERO,
+        };
+        let failure = renderable(find("fig3").unwrap(), &report).unwrap_err();
+        assert_eq!(failure.code, 6);
+        let lines: Vec<&str> = failure.message.lines().collect();
+        assert_eq!(lines.len(), 2, "{}", failure.message);
+        assert_eq!(
+            lines[1],
+            "  run 0 `gcc`: timed-out:wall: attempt overran the wall-clock deadline"
+        );
+        // `chaos` declares its supervision and renders its quarantine.
+        assert!(renderable(find("chaos").unwrap(), &report).is_ok());
+        // Nothing quarantined: render as usual.
+        let clean = CampaignReport {
+            quarantined: Vec::new(),
+            ..report
+        };
+        assert!(renderable(find("fig3").unwrap(), &clean).is_ok());
     }
 
     #[test]

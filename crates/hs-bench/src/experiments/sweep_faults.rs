@@ -135,8 +135,7 @@ pub(super) fn build(cfg: &SimConfig) -> Campaign {
                 .workloads([Workload::Spec(SpecWorkload::Gcc), Workload::Variant2])
                 .policy(policy)
                 .sink(HeatSink::Realistic)
-                .config(*cfg)
-                .faults(faults)
+                .config(SimConfig { faults, ..*cfg })
                 .build()
                 .expect("fault rerun is valid");
             c.push(format!("again/{name}/{}", policy.name()), spec);

@@ -6,21 +6,12 @@
 //! cannot solve a power-density attack.
 
 use super::{pair, solo};
-use crate::{header, suite};
+use crate::{header, members};
 use hs_sim::{Campaign, CampaignReport, HeatSink, PolicyKind, SimConfig};
-use hs_workloads::{SpecWorkload, Workload};
+use hs_workloads::Workload;
 use std::io::{self, Write};
 
 const RESISTANCES: [f64; 4] = [0.8, 0.6, 0.4, 0.2];
-
-/// A representative subset unless `HS_SUBSET` overrides.
-fn members() -> Vec<SpecWorkload> {
-    if std::env::var("HS_SUBSET").is_ok() {
-        suite()
-    } else {
-        suite().into_iter().take(4).collect()
-    }
-}
 
 pub(super) fn build(cfg: &SimConfig) -> Campaign {
     let mut c = Campaign::new("sweep_packaging");

@@ -4,9 +4,9 @@
 //! (356/355 K) and shows the defense is not critically sensitive to them.
 
 use super::{pair, solo};
-use crate::{header, suite};
+use crate::{header, members};
 use hs_sim::{Campaign, CampaignReport, HeatSink, PolicyKind, SimConfig};
-use hs_workloads::{SpecWorkload, Workload};
+use hs_workloads::Workload;
 use std::io::{self, Write};
 
 const THRESHOLDS: [(f64, f64); 5] = [
@@ -16,14 +16,6 @@ const THRESHOLDS: [(f64, f64); 5] = [
     (357.0, 355.5),
     (357.5, 356.0),
 ];
-
-fn members() -> Vec<SpecWorkload> {
-    if std::env::var("HS_SUBSET").is_ok() {
-        suite()
-    } else {
-        suite().into_iter().take(4).collect()
-    }
-}
 
 pub(super) fn build(cfg: &SimConfig) -> Campaign {
     let mut c = Campaign::new("sweep_thresholds");

@@ -70,6 +70,20 @@ pub fn suite() -> Vec<SpecWorkload> {
     }
 }
 
+/// The sweeps' representative subset: the first four suite members, or
+/// the whole suite `HS_SUBSET` selects when it is set.
+///
+/// # Panics
+///
+/// Panics where [`suite`] does.
+pub(crate) fn members() -> Vec<SpecWorkload> {
+    let mut suite = suite();
+    if env("HS_SUBSET").is_none() {
+        suite.truncate(4);
+    }
+    suite
+}
+
 /// An environment variable's value; `None` when unset. A value that is
 /// not UTF-8 comes back lossily converted, so it fails to parse instead of
 /// reading as unset.

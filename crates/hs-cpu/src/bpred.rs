@@ -22,9 +22,6 @@
 pub struct BranchPredictor {
     counters: Vec<u8>,
     mask: u64,
-    lookups: u64,
-    updates: u64,
-    correct: u64,
 }
 
 impl BranchPredictor {
@@ -42,9 +39,6 @@ impl BranchPredictor {
         BranchPredictor {
             counters: vec![2; entries as usize],
             mask: u64::from(entries - 1),
-            lookups: 0,
-            updates: 0,
-            correct: 0,
         }
     }
 
@@ -53,42 +47,20 @@ impl BranchPredictor {
     }
 
     /// Predicts the direction of the conditional branch at `addr`.
-    pub fn predict(&mut self, addr: u64) -> bool {
-        self.lookups += 1;
+    #[must_use]
+    pub fn predict(&self, addr: u64) -> bool {
         self.counters[self.slot(addr)] >= 2
     }
 
-    /// Updates the counter with the actual outcome. The pre-update counter
-    /// state determines whether this outcome counts as correctly predicted.
+    /// Updates the counter with the actual outcome.
     pub fn update(&mut self, addr: u64, taken: bool) {
         let slot = self.slot(addr);
         let c = &mut self.counters[slot];
-        if (*c >= 2) == taken {
-            self.correct += 1;
-        }
-        self.updates += 1;
         if taken {
             *c = (*c + 1).min(3);
         } else {
             *c = c.saturating_sub(1);
         }
-    }
-
-    /// Fraction of updates whose pre-update prediction matched the outcome;
-    /// zero if nothing has been updated yet.
-    #[must_use]
-    pub fn accuracy(&self) -> f64 {
-        if self.updates == 0 {
-            0.0
-        } else {
-            self.correct as f64 / self.updates as f64
-        }
-    }
-
-    /// Number of direction lookups performed.
-    #[must_use]
-    pub fn lookups(&self) -> u64 {
-        self.lookups
     }
 }
 
@@ -103,7 +75,6 @@ mod tests {
             p.update(0x100, true);
         }
         assert!(p.predict(0x100));
-        assert!(p.accuracy() > 0.9);
     }
 
     #[test]
@@ -143,10 +114,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_pow2_size_panics() {
         let _ = BranchPredictor::new(3);
-    }
-
-    #[test]
-    fn accuracy_zero_when_untrained() {
-        assert_eq!(BranchPredictor::new(8).accuracy(), 0.0);
     }
 }

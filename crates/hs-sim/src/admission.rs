@@ -68,7 +68,6 @@ pub fn analyzer_config(cfg: &SimConfig) -> AnalyzerConfig {
         thresholds: cfg.sedation.thresholds,
         freq_hz: cfg.freq_hz,
         time_scale: cfg.time_scale,
-        ..AnalyzerConfig::default()
     }
 }
 

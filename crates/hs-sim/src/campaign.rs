@@ -340,7 +340,7 @@ impl CampaignMatrix {
             for &policy in &policies {
                 for &sink in &sinks {
                     for (cl, cfg) in &configs {
-                        for (fl, fault) in &faults {
+                        for (fl, faults) in &faults {
                             let mut label = format!("{wl}/{}/{}", policy.name(), sink.name());
                             if tag_configs {
                                 label.push('/');
@@ -354,8 +354,10 @@ impl CampaignMatrix {
                                 .workloads(ws.iter().copied())
                                 .policy(policy)
                                 .sink(sink)
-                                .config(*cfg)
-                                .faults(*fault)
+                                .config(SimConfig {
+                                    faults: *faults,
+                                    ..*cfg
+                                })
                                 .build()
                                 .map_err(|e| SimError::InvalidRun {
                                     id: campaign.len(),

@@ -1,13 +1,11 @@
 //! Whole-simulation configuration.
 
 use crate::admission::AdmissionMode;
-use hs_core::{
-    ConfigError, CounterFaultPlan, FailsafeConfig, GuardConfig, RateCapConfig, SedationConfig,
-};
+use hs_core::{ConfigError, CounterFaultPlan, FailsafeConfig, RateCapConfig, SedationConfig};
 use hs_cpu::{CpuConfig, Resource};
 use hs_mem::MemConfig;
 use hs_power::{EnergyTable, PowerModel};
-use hs_thermal::{Block, SensorConfig, SensorFaultPlan, ThermalConfig, NUM_BLOCKS};
+use hs_thermal::{Block, SensorConfig, SensorFaultPlan, ThermalConfig};
 
 /// Which DTM mechanism supervises the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -197,7 +195,9 @@ pub struct SimConfig {
     /// [`SensorConfig::realistic`]).
     pub sensors: SensorConfig,
     /// Parameters for the rate-cap strawman policy (only used with
-    /// [`PolicyKind::RateCap`]; time-scaled).
+    /// [`PolicyKind::RateCap`]; its penalty is time-scaled and its monitor
+    /// period is `sedation.sample_period_cycles`, the cadence every policy
+    /// is sampled at).
     pub rate_cap: RateCapConfig,
     /// Fault-injection schedules (empty by default).
     pub faults: FaultConfig,
@@ -359,13 +359,9 @@ impl SimConfig {
         let step_k = heat_rate_k_per_cycle * self.sensor_interval_cycles as f64;
         FailsafeConfig {
             sedation: self.sedation,
-            guard: GuardConfig {
-                max_step_k: (2.0 * step_k).max(1.0),
-                ..GuardConfig::default()
-            },
+            max_step_k: (2.0 * step_k).max(1.0),
             heat_rate_k_per_cycle,
             cool_rate_k_per_cycle,
-            quorum: NUM_BLOCKS / 2 + 1,
         }
     }
 }

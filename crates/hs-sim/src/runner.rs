@@ -23,7 +23,7 @@
 //! println!("victim IPC: {:.2}", stats.thread(0).ipc);
 //! ```
 
-use crate::config::{FaultConfig, HeatSink, PolicyKind, SimConfig};
+use crate::config::{HeatSink, PolicyKind, SimConfig};
 use crate::error::SimError;
 use crate::simulator::Simulator;
 use crate::stats::SimStats;
@@ -52,7 +52,6 @@ pub struct RunSpecBuilder {
     policy: PolicyKind,
     sink: HeatSink,
     config: SimConfig,
-    faults: Option<FaultConfig>,
 }
 
 impl Default for RunSpecBuilder {
@@ -62,7 +61,6 @@ impl Default for RunSpecBuilder {
             policy: PolicyKind::SelectiveSedation,
             sink: HeatSink::Realistic,
             config: SimConfig::default(),
-            faults: None,
         }
     }
 }
@@ -103,14 +101,6 @@ impl RunSpecBuilder {
         self
     }
 
-    /// Sets the fault-injection schedules, overriding whatever the config
-    /// carries (default: keep `config.faults`).
-    #[must_use]
-    pub fn faults(mut self, faults: FaultConfig) -> Self {
-        self.faults = Some(faults);
-        self
-    }
-
     /// Validates and builds the spec.
     ///
     /// # Errors
@@ -120,15 +110,11 @@ impl RunSpecBuilder {
     /// * [`SimError::RunawayCombination`] for no-DTM on a realistic sink,
     /// * [`SimError::Config`] if the configuration fails validation.
     pub fn build(self) -> Result<RunSpec, SimError> {
-        let mut config = self.config;
-        if let Some(faults) = self.faults {
-            config.faults = faults;
-        }
         let spec = RunSpec {
             workloads: self.workloads,
             policy: self.policy,
             sink: self.sink,
-            config,
+            config: self.config,
         };
         spec.preflight()?;
         Ok(spec)
@@ -408,27 +394,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, SimError::Config(_)));
-    }
-
-    #[test]
-    fn builder_faults_override_config() {
-        use hs_thermal::{Block, SensorFault, SensorFaultKind, SensorFaultPlan};
-        let faults = FaultConfig {
-            sensors: SensorFaultPlan::seeded(1).with(SensorFault {
-                block: Block::IntReg,
-                kind: SensorFaultKind::Dropout,
-                from_cycle: 0,
-                until_cycle: u64::MAX,
-            }),
-            ..FaultConfig::none()
-        };
-        let spec = RunSpec::builder()
-            .workload(Workload::Variant1)
-            .config(fast())
-            .faults(faults)
-            .build()
-            .expect("valid spec");
-        assert_eq!(spec.config().faults.len(), 1);
     }
 
     #[test]

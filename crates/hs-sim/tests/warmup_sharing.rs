@@ -48,13 +48,16 @@ fn mixed() -> Campaign {
     let mut hot = tiny();
     hot.sedation.thresholds.emergency_k -= 2.0;
     hot.sedation.thresholds.normal_k -= 2.0;
-    let faulted = FaultConfig {
-        sensors: SensorFaultPlan::seeded(5).with(SensorFault::permanent(
-            Block::IntReg,
-            SensorFaultKind::StuckAt { value_k: 345.0 },
-            4 * tiny().sensor_interval_cycles,
-        )),
-        ..FaultConfig::none()
+    let faulted = SimConfig {
+        faults: FaultConfig {
+            sensors: SensorFaultPlan::seeded(5).with(SensorFault::permanent(
+                Block::IntReg,
+                SensorFaultKind::StuckAt { value_k: 345.0 },
+                4 * tiny().sensor_interval_cycles,
+            )),
+            ..FaultConfig::none()
+        },
+        ..tiny()
     };
     let interval = SimConfig {
         exec: ExecMode::Interval,
@@ -93,14 +96,7 @@ fn mixed() -> Campaign {
     c.push("pair/sedation/hot", spec(&pair, sedation, realistic, hot));
     c.push(
         "pair/failsafe/stuck-low",
-        RunSpec::builder()
-            .workloads(pair)
-            .policy(PolicyKind::FaultTolerant)
-            .sink(realistic)
-            .config(tiny())
-            .faults(faulted)
-            .build()
-            .expect("valid spec"),
+        spec(&pair, PolicyKind::FaultTolerant, realistic, faulted),
     );
     c.push(
         "pair/sedation/interval",

@@ -68,8 +68,8 @@ const COLD_CYCLES_PER_ITER: f64 = 10.0;
 const HOT_UNROLL: u32 = 48;
 const HOT_ILP: u8 = 12;
 
-/// Mirror of `hs_analyze::AnalyzerConfig::sustain_threshold_cycles` with
-/// default parameters (heating 2.5 ms, fraction 1/16, floor 4000): the bar
+/// Mirror of `hs_analyze::AnalyzerConfig::sustain_threshold_cycles` at the
+/// default clock (heating 2.5 ms, fraction 1/16, floor 4000): the bar
 /// each individual hot loop must stay under. Duplicated here because the
 /// workload crate cannot depend on the analyzer it is built to evade.
 fn sustain_threshold_cycles(time_scale: f64) -> f64 {

@@ -19,6 +19,9 @@ fn input<'a>(temps: &'a [f64; NUM_BLOCKS], counts: &'a BlockCounts, cycle: u64) 
     }
 }
 
+/// The rate cap's sampling cadence in these tests: the paper's 1000 cycles.
+const PERIOD: u64 = 1000;
+
 /// Emergencies the policy reported since its reports were last drained.
 fn emergencies(p: &mut impl ThermalPolicy) -> usize {
     let reports = p.take_reports();
@@ -90,11 +93,11 @@ fn rate_cap_at_exactly_the_cap_is_not_a_violation() {
     let cfg = RateCapConfig::default();
     let mut p = RateCap::new(cfg, 2);
     let temps = [350.0; NUM_BLOCKS];
-    let per_period = (cfg.cap_accesses_per_cycle * cfg.sample_period_cycles as f64) as u64;
+    let per_period = (cfg.cap_accesses_per_cycle * PERIOD as f64) as u64;
     for i in 0..5_000u64 {
         let mut counts = BlockCounts::new();
         counts.add(0, Block::IntReg, per_period);
-        let d = p.on_sample(&input(&temps, &counts, (i + 1) * cfg.sample_period_cycles));
+        let d = p.on_sample(&input(&temps, &counts, (i + 1) * PERIOD));
         assert!(
             !d.gate.any_gated(),
             "gated at sample {i} with avg exactly at cap"
@@ -108,14 +111,13 @@ fn rate_cap_survives_a_saturated_counter() {
     // A stuck-high counter reports u64::MAX accesses per sample. The
     // fixed-point monitor must clamp, not overflow, and the policy must
     // (correctly, if uselessly) gate the thread rather than panic.
-    let cfg = RateCapConfig::default();
-    let mut p = RateCap::new(cfg, 2);
+    let mut p = RateCap::new(RateCapConfig::default(), 2);
     let temps = [350.0; NUM_BLOCKS];
     let mut gated = false;
     for i in 0..64u64 {
         let mut counts = BlockCounts::new();
         counts.set(0, Block::IntReg, u64::MAX);
-        let d = p.on_sample(&input(&temps, &counts, (i + 1) * cfg.sample_period_cycles));
+        let d = p.on_sample(&input(&temps, &counts, (i + 1) * PERIOD));
         gated |= d.gate.is_gated(ThreadId(0));
         assert!(
             !d.gate.is_gated(ThreadId(1)),
@@ -140,7 +142,7 @@ fn rate_cap_zero_duty_penalty_never_starves_the_peer() {
         let mut counts = BlockCounts::new();
         counts.add(0, Block::IntReg, 9_000);
         counts.add(1, Block::IntReg, 2_000);
-        let d = p.on_sample(&input(&temps, &counts, (i + 1) * cfg.sample_period_cycles));
+        let d = p.on_sample(&input(&temps, &counts, (i + 1) * PERIOD));
         assert!(!d.global_stall);
         assert!(!d.gate.is_gated(ThreadId(1)));
         if i > 600 {
