@@ -168,15 +168,9 @@ impl FaultTolerantDtm {
         }
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &FailsafeConfig {
-        &self.cfg
-    }
-
     /// Current rung of the degradation ladder.
-    #[must_use]
-    pub fn mode(&self) -> FailsafeMode {
+    #[cfg(test)]
+    fn mode(&self) -> FailsafeMode {
         self.mode
     }
 

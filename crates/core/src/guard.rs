@@ -183,8 +183,8 @@ impl SensorGuard {
     }
 
     /// Current health of one sensor.
-    #[must_use]
-    pub fn health(&self, block: Block) -> SensorHealth {
+    #[cfg(test)]
+    fn health(&self, block: Block) -> SensorHealth {
         self.state[block.index()].health
     }
 

@@ -89,7 +89,8 @@ impl Ewma {
     }
 
     /// Resets the average to zero.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    fn reset(&mut self) {
         self.fixed = 0;
     }
 }

@@ -39,13 +39,11 @@ pub enum ReportKind {
     /// Static admission screening flagged the thread's program as a likely
     /// power-density attack before it ran a single cycle.
     AdmissionFlagged,
-    /// Static admission screening sedated the thread from cycle 0.
-    AdmissionSedated,
 }
 
 /// Every report kind, in declaration order (for serializers that map kinds
 /// to and from their stable names).
-pub const ALL_REPORT_KINDS: [ReportKind; 13] = [
+pub const ALL_REPORT_KINDS: [ReportKind; 12] = [
     ReportKind::Sedated,
     ReportKind::Released,
     ReportKind::Emergency,
@@ -58,7 +56,6 @@ pub const ALL_REPORT_KINDS: [ReportKind; 13] = [
     ReportKind::WatchdogHalt,
     ReportKind::WatchdogResumed,
     ReportKind::AdmissionFlagged,
-    ReportKind::AdmissionSedated,
 ];
 
 impl ReportKind {
@@ -78,7 +75,6 @@ impl ReportKind {
             ReportKind::WatchdogHalt => "watchdog halt",
             ReportKind::WatchdogResumed => "watchdog resumed",
             ReportKind::AdmissionFlagged => "admission flagged",
-            ReportKind::AdmissionSedated => "admission sedated",
         }
     }
 

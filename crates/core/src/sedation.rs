@@ -67,12 +67,6 @@ impl SelectiveSedation {
         }
     }
 
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &SedationConfig {
-        &self.cfg
-    }
-
     /// Whether `thread` is currently sedated (for any resource).
     #[must_use]
     pub fn is_sedated(&self, thread: ThreadId) -> bool {

@@ -3,7 +3,7 @@
 //! ```text
 //! campaign [--list] [--only a,b,c] [--jobs N] [--mode cycle|interval]
 //!          [--json PATH] [--check PATH] [--resume] [--retries N]
-//!          [--deadline SECS] [--journal PATH] [--abort-after K]
+//!          [--journal PATH] [--abort-after K]
 //! ```
 //!
 //! * `--list` — print the experiment names, one per line (consumed by
@@ -42,9 +42,8 @@
 //! * `--resume` — replay the experiment's journal and execute only the
 //!   runs it is missing (crash recovery; the resumed artifact is
 //!   byte-identical to an uninterrupted one).
-//! * `--retries N` — attempts per run for transient failures (default
-//!   from the experiment's supervision, else 1).
-//! * `--deadline SECS` — per-attempt wall-clock deadline.
+//! * `--retries N` — attempts per run for transient failures, started at
+//!   once (default from the experiment's supervision, else 1).
 //! * `--journal PATH` — run journal location. Default:
 //!   the artifact path with a `.journal.jsonl` extension under `--json`,
 //!   else `<name>.journal.jsonl`. With several experiments selected,
@@ -61,7 +60,6 @@
 //! | 2 | usage error (bad flag or value) |
 //! | 3 | invalid configuration ([`SimError::Config`]) |
 //! | 4 | invalid run matrix (no/too many workloads, runaway combination, duplicate label) |
-//! | 5 | admission screening rejected a workload |
 //! | 6 | interrupted (`--abort-after`) or aborted campaign (quarantined runs its renderer needs) |
 //! | 7 | unusable run journal |
 //!
@@ -78,7 +76,6 @@ use hs_sim::admission::check_analysis_artifact;
 use hs_sim::{CampaignReport, Json, SimError, Supervision};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// A CLI failure: the message for stderr plus the process exit code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,7 +103,6 @@ pub fn sim_exit_code(e: &SimError) -> i32 {
         | SimError::TooManyWorkloads { .. }
         | SimError::RunawayCombination
         | SimError::DuplicateLabel { .. } => 4,
-        SimError::AdmissionRejected { .. } => 5,
         SimError::Interrupted { .. } => 6,
         SimError::Journal { .. } => 7,
         SimError::InvalidRun { cause, .. } => sim_exit_code(cause),
@@ -136,8 +132,6 @@ pub struct Options {
     pub resume: bool,
     /// Override: attempts per run for transient failures.
     pub retries: Option<u32>,
-    /// Override: per-attempt wall-clock deadline.
-    pub deadline: Option<Duration>,
     /// Override: journal path (directory when several are selected).
     pub journal: Option<PathBuf>,
     /// Crash-testing hook: abort after this many journaled outcomes.
@@ -222,16 +216,6 @@ impl Options {
                     }
                     opts.retries = Some(n);
                 }
-                "--deadline" => {
-                    let v = it.next().ok_or("--deadline needs seconds")?;
-                    let secs: f64 = v
-                        .parse()
-                        .map_err(|_| format!("--deadline: `{v}` is not a number of seconds"))?;
-                    if !secs.is_finite() || secs <= 0.0 {
-                        return Err("--deadline must be a positive number of seconds".into());
-                    }
-                    opts.deadline = Some(Duration::from_secs_f64(secs));
-                }
                 "--journal" => {
                     let v = it.next().ok_or("--journal needs a path")?;
                     opts.journal = Some(PathBuf::from(v));
@@ -250,7 +234,7 @@ impl Options {
                     return Err("usage: campaign [--list] [--only a,b,c] [--jobs N] \
                          [--mode cycle|interval] [--json PATH] [--check PATH] \
                          [--explain] [--verdicts PATH] [--resume] [--retries N] \
-                         [--deadline SECS] [--journal PATH] [--abort-after K]"
+                         [--journal PATH] [--abort-after K]"
                         .into())
                 }
                 other => return Err(format!("unknown flag `{other}` (try --help)")),
@@ -290,7 +274,6 @@ impl Options {
     fn wants_supervision(&self) -> bool {
         self.resume
             || self.retries.is_some()
-            || self.deadline.is_some()
             || self.journal.is_some()
             || self.abort_after.is_some()
     }
@@ -327,10 +310,7 @@ impl Options {
         }
         let mut sup = e.supervision.map_or_else(Supervision::default, |f| f(cfg));
         if let Some(n) = self.retries {
-            sup.retry.max_attempts = n;
-        }
-        if let Some(d) = self.deadline {
-            sup.wall_deadline = Some(d);
+            sup.max_attempts = n;
         }
         if let Some(k) = self.abort_after {
             sup.abort_after = Some(k);
@@ -555,6 +535,7 @@ pub fn run(args: impl IntoIterator<Item = String>) -> Result<(), Failure> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn parse(args: &[&str]) -> Result<Options, String> {
         Options::parse(args.iter().map(|s| (*s).to_string()))
@@ -604,6 +585,7 @@ mod tests {
     #[test]
     fn unknown_flags_are_rejected() {
         assert!(parse(&["--frobnicate"]).is_err());
+        assert!(parse(&["--deadline", "1"]).is_err());
     }
 
     #[test]
@@ -668,8 +650,6 @@ mod tests {
             "--resume",
             "--retries",
             "3",
-            "--deadline",
-            "2.5",
             "--journal",
             "j.jsonl",
             "--abort-after",
@@ -678,14 +658,11 @@ mod tests {
         .unwrap();
         assert!(opts.resume);
         assert_eq!(opts.retries, Some(3));
-        assert_eq!(opts.deadline, Some(Duration::from_secs_f64(2.5)));
         assert_eq!(opts.journal, Some(PathBuf::from("j.jsonl")));
         assert_eq!(opts.abort_after, Some(4));
         assert!(opts.wants_supervision());
         assert!(!parse(&[]).unwrap().wants_supervision());
         assert!(parse(&["--retries", "0"]).is_err());
-        assert!(parse(&["--deadline", "-1"]).is_err());
-        assert!(parse(&["--deadline", "soon"]).is_err());
         assert!(parse(&["--abort-after", "0"]).is_err());
     }
 
@@ -723,7 +700,7 @@ mod tests {
         let sup = opts
             .supervision_for(chaos, &cfg, 1)
             .expect("chaos is supervised");
-        assert_eq!(sup.retry.max_attempts, 3, "registry default");
+        assert_eq!(sup.max_attempts, 3, "registry default");
         assert!(sup.journal.is_some(), "supervised runs always journal");
         assert!(
             opts.supervision_for(fig3, &cfg, 1).is_none(),
@@ -732,7 +709,7 @@ mod tests {
         // CLI overrides layer on top of the registry default.
         let opts = parse(&["--retries", "7"]).unwrap();
         let sup = opts.supervision_for(chaos, &cfg, 1).unwrap();
-        assert_eq!(sup.retry.max_attempts, 7);
+        assert_eq!(sup.max_attempts, 7);
         assert!(
             opts.supervision_for(fig3, &cfg, 1).is_some(),
             "flags opt any experiment in"
@@ -748,8 +725,8 @@ mod tests {
                 id: 0,
                 label: "gcc".into(),
                 attempts: 1,
-                kind: "timed-out:wall".into(),
-                detail: "attempt overran the wall-clock deadline".into(),
+                kind: "failed".into(),
+                detail: "replayed from an earlier run".into(),
             }],
             jobs: 1,
             warmups: 0,
@@ -761,7 +738,7 @@ mod tests {
         assert_eq!(lines.len(), 2, "{}", failure.message);
         assert_eq!(
             lines[1],
-            "  run 0 `gcc`: timed-out:wall: attempt overran the wall-clock deadline"
+            "  run 0 `gcc`: failed: replayed from an earlier run"
         );
         // `chaos` declares its supervision and renders its quarantine.
         assert!(renderable(find("chaos").unwrap(), &report).is_ok());
@@ -784,13 +761,6 @@ mod tests {
                 second: 1
             }),
             4
-        );
-        assert_eq!(
-            sim_exit_code(&SimError::AdmissionRejected {
-                workload: "v2".into(),
-                est_temp_k: 400.0
-            }),
-            5
         );
         assert_eq!(
             sim_exit_code(&SimError::Interrupted {

@@ -14,12 +14,10 @@
 //! determinism is a property of the fixed plan, not of the suite.
 
 use hs_sim::{
-    Campaign, CampaignReport, ChaosPlan, HeatSink, PolicyKind, RetryPolicy, RunSpec, SimConfig,
-    Supervision,
+    Campaign, CampaignReport, ChaosPlan, HeatSink, PolicyKind, RunSpec, SimConfig, Supervision,
 };
 use hs_workloads::{SpecWorkload, Workload};
 use std::io::{self, Write};
-use std::time::Duration;
 
 /// Run ids that fail permanently by construction (see module docs).
 const PERMANENT: [usize; 2] = [2, 7];
@@ -94,18 +92,12 @@ pub(super) fn build(cfg: &SimConfig) -> Campaign {
 }
 
 /// The supervision the registry attaches to this experiment: cycle budget
-/// sized for exactly one configured run, three attempts with fast seeded
-/// backoff, and the chaos plan described in the module docs. No wall-clock
-/// deadline — everything here must stay wall-time-independent so the
-/// artifact is reproducible on any machine.
+/// sized for exactly one configured run, three attempts, and the chaos plan
+/// described in the module docs.
 pub(super) fn supervision(cfg: &SimConfig) -> Supervision {
     Supervision {
         cycle_budget: Some(cfg.warmup_cycles + cfg.quantum_cycles),
-        retry: RetryPolicy {
-            max_attempts: 3,
-            backoff: Duration::from_millis(1),
-            seed: 0x0C4A_05ED,
-        },
+        max_attempts: 3,
         chaos: Some(
             ChaosPlan::seeded(0x48EA_757F)
                 .panic_rate(0.3)

@@ -56,7 +56,8 @@ pub struct Experiment {
     /// experiment) runs on the fail-fast engine exactly as before;
     /// `Some` routes through `Campaign::run_supervised` — used by `chaos`,
     /// which injects faults that *must* be supervised. CLI supervision
-    /// flags (`--retries`, `--deadline`, …) layer on top of this.
+    /// flags (`--resume`, `--retries`, `--journal`, `--abort-after`) layer
+    /// on top of this.
     pub supervision: Option<fn(&SimConfig) -> Supervision>,
 }
 

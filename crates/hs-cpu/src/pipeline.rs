@@ -296,8 +296,8 @@ impl Cpu {
     }
 
     /// Current RUU occupancy (live, uncommitted entries).
-    #[must_use]
-    pub fn ruu_occupancy(&self) -> usize {
+    #[cfg(test)]
+    fn ruu_occupancy(&self) -> usize {
         self.ruu_live as usize
     }
 

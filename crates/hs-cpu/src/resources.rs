@@ -185,8 +185,8 @@ impl AccessMatrix {
     }
 
     /// Total accesses by `thread` across all resources.
-    #[must_use]
-    pub fn thread_total(&self, thread: ThreadId) -> u64 {
+    #[cfg(test)]
+    fn thread_total(&self, thread: ThreadId) -> u64 {
         self.counts[thread.index()].iter().sum()
     }
 

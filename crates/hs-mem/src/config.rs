@@ -45,8 +45,8 @@ impl MemConfig {
     }
 
     /// Total latency of an access that misses everywhere.
-    #[must_use]
-    pub fn worst_case_latency(&self) -> u32 {
+    #[cfg(test)]
+    fn worst_case_latency(&self) -> u32 {
         self.l1_latency + self.l2_latency + self.memory_latency
     }
 

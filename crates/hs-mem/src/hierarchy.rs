@@ -115,7 +115,8 @@ impl MemoryHierarchy {
     }
 
     /// Invalidates every cache level.
-    pub fn flush_all(&mut self) {
+    #[cfg(test)]
+    fn flush_all(&mut self) {
         self.l1i.flush();
         self.l1d.flush();
         self.l2.flush();

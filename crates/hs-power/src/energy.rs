@@ -113,8 +113,8 @@ impl EnergyTable {
     }
 
     /// Total idle power across all blocks (watts).
-    #[must_use]
-    pub fn total_idle(&self) -> f64 {
+    #[cfg(test)]
+    fn total_idle(&self) -> f64 {
         self.idle.iter().sum()
     }
 

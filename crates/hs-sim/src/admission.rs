@@ -2,24 +2,18 @@
 //!
 //! The paper's DTM reacts only after a thermal sensor trips; by then the
 //! attacker has already stolen a heating episode. The admission hook runs
-//! the static analyzer over a program *before its first cycle* and lets the
-//! "OS" act on the verdict:
+//! the static analyzer over a program *before its first cycle* and reports
+//! the verdict to the "OS"; the run itself is left to the DTM:
 //!
 //! * [`AdmissionMode::Off`] (the default) — no screening at all. Every
 //!   paper figure is produced in this mode, so the published numbers are
 //!   byte-identical with or without this module compiled in.
-//! * [`AdmissionMode::Warn`] — admit the thread but file an
-//!   `admission flagged` OS report at cycle 0.
-//! * [`AdmissionMode::Sedate`] — admit the thread with its fetch gate
-//!   closed from cycle 0 (the sedation the DTM would eventually impose,
-//!   applied before any heating happens).
-//! * [`AdmissionMode::Reject`] — refuse to attach the thread
-//!   ([`crate::SimError::AdmissionRejected`]).
+//! * [`AdmissionMode::Warn`] — admit the thread, filing an
+//!   `admission flagged` OS report at cycle 0 when its verdict is
+//!   [`Verdict::HeatStroke`] or [`Verdict::Suspicious`].
 //!
-//! Only a [`Verdict::HeatStroke`] verdict triggers the mode's action;
-//! [`Verdict::Suspicious`] programs are admitted with a warning report in
-//! every mode but [`AdmissionMode::Off`]. See `DESIGN.md` §"Static
-//! screening" for the thresholds and the reasoning behind the default.
+//! See `DESIGN.md` §"Static screening" for the thresholds and the
+//! reasoning behind the default.
 
 use crate::config::SimConfig;
 use crate::json::Json;
@@ -35,10 +29,6 @@ pub enum AdmissionMode {
     Off,
     /// Admit, but report flagged programs to the OS at cycle 0.
     Warn,
-    /// Admit flagged programs with their fetch gate closed from cycle 0.
-    Sedate,
-    /// Refuse to attach flagged programs.
-    Reject,
 }
 
 impl AdmissionMode {
@@ -48,8 +38,6 @@ impl AdmissionMode {
         match self {
             AdmissionMode::Off => "off",
             AdmissionMode::Warn => "warn",
-            AdmissionMode::Sedate => "sedate",
-            AdmissionMode::Reject => "reject",
         }
     }
 }
@@ -288,8 +276,6 @@ mod tests {
     fn mode_names_are_stable() {
         assert_eq!(AdmissionMode::Off.name(), "off");
         assert_eq!(AdmissionMode::Warn.name(), "warn");
-        assert_eq!(AdmissionMode::Sedate.name(), "sedate");
-        assert_eq!(AdmissionMode::Reject.name(), "reject");
         assert_eq!(AdmissionMode::default(), AdmissionMode::Off);
     }
 

@@ -6,9 +6,8 @@
 //! executes it on a `std::thread` worker pool where **each run owns its own
 //! [`Simulator`](crate::Simulator)** and aggregates per-run [`SimStats`]
 //! into a [`CampaignReport`]. Runs that share a warm-up identity (same
-//! workloads, core, memory, time scale, warm-up length and admission gate)
-//! start from clones of one warmed core, so each distinct warm-up is
-//! simulated once.
+//! workloads, core, memory, time scale and warm-up length) start from
+//! clones of one warmed core, so each distinct warm-up is simulated once.
 //!
 //! ## Determinism contract
 //!
@@ -175,7 +174,7 @@ impl Campaign {
             &self.runs,
             &ids,
             jobs,
-            |id, worker| worker.run(id, &self.runs[id].spec).0,
+            |id, worker| worker.run(id, &self.runs[id].spec),
             |_| false,
         );
         let mut runs = Vec::with_capacity(self.runs.len());
@@ -227,20 +226,19 @@ impl Campaign {
     }
 }
 
-/// Cartesian-product builder over workloads × policies × sinks × configs ×
-/// faults.
+/// Cartesian-product builder over workloads × policies × sinks × faults,
+/// every run on the base config.
 ///
-/// Axes left empty fall back to a single default: the base config, no
-/// faults, the realistic sink. The product is emitted in a fixed
-/// lexicographic order (workload set, then policy, then sink, then config,
-/// then faults), which fixes every run's stable id.
+/// Axes left empty fall back to a single default: selective sedation, the
+/// realistic sink, the base config's own faults. The product is emitted in
+/// a fixed lexicographic order (workload set, then policy, then sink, then
+/// faults), which fixes every run's stable id.
 #[derive(Debug, Clone)]
 pub struct CampaignMatrix {
     base: SimConfig,
     workload_sets: Vec<(String, Vec<Workload>)>,
     policies: Vec<PolicyKind>,
     sinks: Vec<HeatSink>,
-    configs: Vec<(String, SimConfig)>,
     faults: Vec<(String, FaultConfig)>,
 }
 
@@ -253,7 +251,6 @@ impl CampaignMatrix {
             workload_sets: Vec::new(),
             policies: Vec::new(),
             sinks: Vec::new(),
-            configs: Vec::new(),
             faults: Vec::new(),
         }
     }
@@ -284,15 +281,8 @@ impl CampaignMatrix {
         self
     }
 
-    /// Adds a labelled configuration variant (e.g. a scale or threshold
-    /// point) to the config axis.
-    #[must_use]
-    pub fn config(mut self, label: impl Into<String>, cfg: SimConfig) -> Self {
-        self.configs.push((label.into(), cfg));
-        self
-    }
-
-    /// Adds a labelled fault plan to the fault axis.
+    /// Adds a labelled fault plan to the fault axis; its runs take these
+    /// faults in place of the base config's.
     #[must_use]
     pub fn faults(mut self, label: impl Into<String>, f: FaultConfig) -> Self {
         self.faults.push((label.into(), f));
@@ -301,8 +291,8 @@ impl CampaignMatrix {
 
     /// Expands the product into a validated [`Campaign`].
     ///
-    /// Labels are `workloads/policy/sink[/config][/faults]` — the config and
-    /// fault segments appear only when that axis has more than one point.
+    /// Labels are `workloads/policy/sink[/faults]` — the fault segment
+    /// appears only when that axis has more than one point.
     ///
     /// # Errors
     ///
@@ -322,50 +312,38 @@ impl CampaignMatrix {
         } else {
             self.sinks
         };
-        let configs = if self.configs.is_empty() {
-            vec![(String::new(), self.base)]
-        } else {
-            self.configs
-        };
         let faults = if self.faults.is_empty() {
-            vec![(String::new(), FaultConfig::none())]
+            vec![(String::new(), self.base.faults)]
         } else {
             self.faults
         };
-        let tag_configs = configs.len() > 1;
         let tag_faults = faults.len() > 1;
 
         let mut campaign = Campaign::new(name);
         for (wl, ws) in &self.workload_sets {
             for &policy in &policies {
                 for &sink in &sinks {
-                    for (cl, cfg) in &configs {
-                        for (fl, faults) in &faults {
-                            let mut label = format!("{wl}/{}/{}", policy.name(), sink.name());
-                            if tag_configs {
-                                label.push('/');
-                                label.push_str(cl);
-                            }
-                            if tag_faults {
-                                label.push('/');
-                                label.push_str(fl);
-                            }
-                            let spec = RunSpec::builder()
-                                .workloads(ws.iter().copied())
-                                .policy(policy)
-                                .sink(sink)
-                                .config(SimConfig {
-                                    faults: *faults,
-                                    ..*cfg
-                                })
-                                .build()
-                                .map_err(|e| SimError::InvalidRun {
-                                    id: campaign.len(),
-                                    label: label.clone(),
-                                    cause: Box::new(e),
-                                })?;
-                            campaign.push(label, spec);
+                    for (fl, faults) in &faults {
+                        let mut label = format!("{wl}/{}/{}", policy.name(), sink.name());
+                        if tag_faults {
+                            label.push('/');
+                            label.push_str(fl);
                         }
+                        let spec = RunSpec::builder()
+                            .workloads(ws.iter().copied())
+                            .policy(policy)
+                            .sink(sink)
+                            .config(SimConfig {
+                                faults: *faults,
+                                ..self.base
+                            })
+                            .build()
+                            .map_err(|e| SimError::InvalidRun {
+                                id: campaign.len(),
+                                label: label.clone(),
+                                cause: Box::new(e),
+                            })?;
+                        campaign.push(label, spec);
                     }
                 }
             }
@@ -442,8 +420,8 @@ impl CampaignReport {
     }
 
     /// The stats of the run with the given label, if present.
-    #[must_use]
-    pub fn try_stats(&self, label: &str) -> Option<&SimStats> {
+    #[cfg(test)]
+    fn try_stats(&self, label: &str) -> Option<&SimStats> {
         self.runs
             .iter()
             .find(|r| r.label == label)
@@ -602,6 +580,32 @@ mod tests {
         assert_eq!(labels[1], "gcc/stop-and-go/realistic");
         assert_eq!(labels[2], "gcc/sedation/ideal");
         assert_eq!(labels[7], "v2/sedation/realistic");
+    }
+
+    #[test]
+    fn matrix_without_a_fault_axis_keeps_the_base_faults() {
+        use hs_thermal::{Block, SensorFault, SensorFaultKind, SensorFaultPlan};
+        let base = SimConfig {
+            faults: FaultConfig {
+                sensors: SensorFaultPlan::seeded(5).with(SensorFault::permanent(
+                    Block::IntReg,
+                    SensorFaultKind::StuckAt { value_k: 345.0 },
+                    0,
+                )),
+                ..FaultConfig::none()
+            },
+            ..tiny()
+        };
+        let campaign = CampaignMatrix::new(base)
+            .workloads("gcc", [Workload::Spec(SpecWorkload::Gcc)])
+            .policy(PolicyKind::SelectiveSedation)
+            .policy(PolicyKind::FaultTolerant)
+            .build("stuck-low")
+            .expect("valid matrix");
+        assert_eq!(campaign.len(), 2);
+        for run in campaign.runs() {
+            assert_eq!(run.spec.config().faults, base.faults, "{}", run.label);
+        }
     }
 
     #[test]

@@ -29,14 +29,6 @@ pub enum SimError {
     /// no DTM at all on a realistic package is a guaranteed runaway
     /// (temperatures rise unbounded with nothing to intervene).
     RunawayCombination,
-    /// Static admission screening (`AdmissionMode::Reject`) classified the
-    /// workload's program as a heat-stroke attack; it was not attached.
-    AdmissionRejected {
-        /// The rejected workload's name.
-        workload: String,
-        /// The analyzer's predicted steady-state hot-spot temperature (K).
-        est_temp_k: f64,
-    },
     /// A campaign run was rejected; wraps the underlying error with the
     /// run's stable identity so batch callers can point at the culprit.
     InvalidRun {
@@ -88,15 +80,6 @@ impl fmt::Display for SimError {
                  thermal runaway; use HeatSink::Ideal to isolate pipeline \
                  effects or pick a DTM policy",
             ),
-            SimError::AdmissionRejected {
-                workload,
-                est_temp_k,
-            } => write!(
-                f,
-                "admission screening rejected `{workload}`: static analysis \
-                 predicts a sustained {est_temp_k:.1} K hot spot \
-                 (heat-stroke verdict)"
-            ),
             SimError::InvalidRun { id, label, cause } => {
                 write!(f, "run #{id} `{label}`: {cause}")
             }
@@ -132,7 +115,6 @@ impl SimError {
             | SimError::NoWorkloads
             | SimError::TooManyWorkloads { .. }
             | SimError::RunawayCombination
-            | SimError::AdmissionRejected { .. }
             | SimError::DuplicateLabel { .. }
             | SimError::Journal { .. } => ErrorClass::Permanent,
         }

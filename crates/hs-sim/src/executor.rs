@@ -2,29 +2,28 @@
 //! and the supervised engine, and the warm-up sharing it does for both.
 //!
 //! A run's warm-up reads nothing but its [`WarmupKey`]: the workloads in
-//! attach order, the core and memory configuration, the time scale, the
-//! warm-up length and the admission gate. Within one execution, the first
-//! run of each key to start warms a core and publishes a clone of it; every
-//! other run with that key starts from a clone of the published core, so
-//! each distinct warm-up is simulated once. Nothing outlives the execution.
+//! attach order, the core and memory configuration, the time scale and the
+//! warm-up length. Within one execution, the first run of each key to start
+//! warms a core and publishes a clone of it; every other run with that key
+//! starts from a clone of the published core, so each distinct warm-up is
+//! simulated once. Nothing outlives the execution.
 //! DESIGN.md §3b states the contract.
 
 use crate::campaign::PlannedRun;
 use crate::error::SimError;
 use crate::runner::RunSpec;
-use crate::simulator::{unobserved, Simulator};
+use crate::simulator::unobserved;
 use crate::stats::SimStats;
-use hs_cpu::{Cpu, CpuConfig, FetchGate};
+use hs_cpu::{Cpu, CpuConfig};
 use hs_mem::MemConfig;
 use hs_workloads::Workload;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
 
 /// Everything a run's warm-up reads: runs with equal keys leave
-/// bit-identical warm cores. Policy, sink, thresholds, sensors, faults
-/// and execution mode are absent on purpose — warm-up runs no DTM and no
-/// thermal model.
+/// bit-identical warm cores. Policy, sink, thresholds, sensors, faults,
+/// admission screening and execution mode are absent on purpose — warm-up
+/// runs no DTM and no thermal model, with every fetch gate open.
 #[derive(PartialEq)]
 pub(crate) struct WarmupKey {
     workloads: Vec<Workload>,
@@ -33,8 +32,6 @@ pub(crate) struct WarmupKey {
     /// The exact time scale the programs are built for, as bits.
     time_scale: u64,
     warmup_cycles: u64,
-    /// The admission gate after screening.
-    gate: FetchGate,
 }
 
 impl WarmupKey {
@@ -46,7 +43,6 @@ impl WarmupKey {
             mem: cfg.mem,
             time_scale: cfg.time_scale.to_bits(),
             warmup_cycles: cfg.warmup_cycles,
-            gate: Simulator::admission_gate_for(cfg, spec.workloads()),
         }
     }
 }
@@ -155,21 +151,18 @@ pub(crate) struct Worker<'a> {
 
 impl Worker<'_> {
     /// Runs `spec`, run `id`, from a clone of its group's warm core, or
-    /// warms that core first when no run of the group has. Also returns
-    /// how long the run waited on other runs' warm-ups.
-    pub(crate) fn run(&self, id: usize, spec: &RunSpec) -> (Result<SimStats, SimError>, Duration) {
-        let mut waited = Duration::ZERO;
-        let result = match self.shared.start(id, self.index, &mut waited) {
+    /// warms that core first when no run of the group has.
+    pub(crate) fn run(&self, id: usize, spec: &RunSpec) -> Result<SimStats, SimError> {
+        match self.shared.start(id, self.index) {
             Start::Warm(core) => spec
                 .simulator(Some(Arc::unwrap_or_clone(core)))
                 .map(|mut sim| sim.run_measured(unobserved)),
             Start::Cold(ticket) => spec.simulator(None).map(|mut sim| {
                 sim.warm_up();
-                ticket.publish(sim.core(), &mut waited);
+                ticket.publish(sim.core());
                 sim.run_measured(unobserved)
             }),
-        };
-        (result, waited)
+        }
     }
 }
 
@@ -221,29 +214,21 @@ impl Shared {
         self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Waits for the next change of any group, adding the time to `waited`.
-    fn wait<'a>(
-        &self,
-        table: MutexGuard<'a, Table>,
-        waited: &mut Duration,
-    ) -> MutexGuard<'a, Table> {
-        let since = Instant::now();
-        let table = self
-            .changed
+    /// Waits for the next change of any group.
+    fn wait<'a>(&self, table: MutexGuard<'a, Table>) -> MutexGuard<'a, Table> {
+        self.changed
             .wait(table)
-            .unwrap_or_else(PoisonError::into_inner);
-        *waited += since.elapsed();
-        table
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// How run `id` starts: from the group's published core, or — when
     /// there is none and nobody is warming one — by warming it. Waits
     /// while another run warms the group's core.
-    fn start(&self, id: usize, worker: usize, waited: &mut Duration) -> Start<'_> {
+    fn start(&self, id: usize, worker: usize) -> Start<'_> {
         let g = self.group_of[id];
         let mut table = self.lock();
         while matches!(table.groups[g].warm, Warm::Warming) {
-            table = self.wait(table, waited);
+            table = self.wait(table);
         }
         let first = !std::mem::replace(&mut table.started[id], true);
         let group = &mut table.groups[g];
@@ -305,12 +290,12 @@ impl Ticket<'_> {
     /// runs. A worker keeps at most one published core: it first waits for
     /// the last run of its previous one to take it. Those runs were handed
     /// out before this one, so each is about to start or finish.
-    fn publish(mut self, core: &Cpu, waited: &mut Duration) {
+    fn publish(mut self, core: &Cpu) {
         let shared = self.shared;
         shared.warmups.fetch_add(1, Ordering::Relaxed);
         let mut table = shared.lock();
         while table.groups[self.group].need > 0 && table.owns_core(self.worker) {
-            table = shared.wait(table, waited);
+            table = shared.wait(table);
         }
         if table.groups[self.group].need == 0 {
             return;

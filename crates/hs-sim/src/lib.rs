@@ -75,6 +75,4 @@ pub use os::{OsScheduler, ScheduleOutcome, SchedulerConfig};
 pub use runner::{RunSpec, RunSpecBuilder};
 pub use simulator::{Sample, Simulator};
 pub use stats::{SimStats, ThreadBreakdown, ThreadSummary};
-pub use supervise::{
-    ChaosEvent, ChaosPlan, DeadlineKind, QuarantinedRun, RetryPolicy, RunOutcome, Supervision,
-};
+pub use supervise::{ChaosEvent, ChaosPlan, QuarantinedRun, RunOutcome, Supervision};

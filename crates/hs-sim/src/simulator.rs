@@ -30,8 +30,6 @@ pub struct Simulator {
     sensors: SensorBank,
     policy: Box<dyn ThermalPolicy>,
     names: Vec<&'static str>,
-    /// Fetch gates imposed at admission (sticky for the whole quantum).
-    admission_gate: FetchGate,
     /// Cycle-0 reports filed by the admission screen.
     admission_reports: Vec<OsReport>,
 }
@@ -51,8 +49,7 @@ pub struct Sample<'a> {
     /// The sample's true access counts (counter faults corrupt only what
     /// the monitors see).
     pub counts: &'a AccessMatrix,
-    /// The fetch gates decided for the next span, admission sedation
-    /// applied.
+    /// The fetch gates decided for the next span.
     pub gate: FetchGate,
     /// Whether the whole pipeline stalls for the next span.
     pub global_stall: bool,
@@ -209,25 +206,21 @@ impl Simulator {
             sensors: SensorBank::with_faults(cfg.sensors, cfg.faults.sensors),
             policy,
             names: Vec::new(),
-            admission_gate: FetchGate::open(),
             admission_reports: Vec::new(),
         })
     }
 
     /// Attaches a workload to the next free hardware context.
     ///
-    /// When [`SimConfig::admission`] is not [`AdmissionMode::Off`], the
-    /// workload's program is first screened by the static analyzer
-    /// (`hs-analyze`); a heat-stroke verdict triggers the configured mode's
-    /// action (warn / sedate from cycle 0 / reject) and a suspicious
-    /// verdict files a warning report.
+    /// Under [`AdmissionMode::Warn`] the workload's program is first
+    /// screened by the static analyzer (`hs-analyze`); a heat-stroke or
+    /// suspicious verdict files an `admission flagged` report at cycle 0.
+    /// The program is attached either way.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::TooManyWorkloads`] when all `cpu.contexts`
-    /// contexts are occupied, and [`SimError::AdmissionRejected`] when
-    /// screening under [`AdmissionMode::Reject`] classifies the program as
-    /// an attack; either way the workload is not attached.
+    /// contexts are occupied; the workload is not attached.
     pub fn attach(&mut self, workload: Workload) -> Result<ThreadId, SimError> {
         let (tid, program) = self.screen_next(workload)?;
         self.cpu.attach_thread(program);
@@ -244,7 +237,7 @@ impl Simulator {
 
     /// The admission half of [`Simulator::attach`]: builds `workload`'s
     /// program for the next free context, screens it, and records the
-    /// verdict's gate and reports.
+    /// verdict's report.
     fn screen_next(&mut self, workload: Workload) -> Result<(ThreadId, Program), SimError> {
         if self.names.len() as u32 >= self.cfg.cpu.contexts {
             return Err(SimError::TooManyWorkloads {
@@ -254,30 +247,14 @@ impl Simulator {
         }
         let program = workload.program_with(&self.cfg.mem, self.cfg.time_scale);
         let tid = ThreadId(self.names.len() as u8);
-        if self.cfg.admission != AdmissionMode::Off {
+        if self.cfg.admission == AdmissionMode::Warn {
             let analysis = screen(&program, &self.cfg);
-            let kind = match (analysis.verdict, self.cfg.admission) {
-                (Verdict::HeatStroke, AdmissionMode::Reject) => {
-                    return Err(SimError::AdmissionRejected {
-                        workload: workload.name().to_string(),
-                        est_temp_k: analysis.est_temp_k,
-                    });
-                }
-                (Verdict::HeatStroke, AdmissionMode::Sedate) => {
-                    self.admission_gate.set(tid, true);
-                    Some(ReportKind::AdmissionSedated)
-                }
-                (Verdict::HeatStroke | Verdict::Suspicious, _) => {
-                    Some(ReportKind::AdmissionFlagged)
-                }
-                (Verdict::Benign, _) => None,
-            };
-            if let Some(kind) = kind {
+            if analysis.verdict != Verdict::Benign {
                 self.admission_reports.push(OsReport {
                     cycle: 0,
                     thread: Some(tid),
                     block: analysis.hottest_block,
-                    kind,
+                    kind: ReportKind::AdmissionFlagged,
                     weighted_avg: Some(analysis.int_regfile_rate),
                     temperature_k: analysis.est_temp_k,
                 });
@@ -285,21 +262,6 @@ impl Simulator {
         }
         self.names.push(workload.name());
         Ok((tid, program))
-    }
-
-    /// The fetch gate [`Simulator::attach`] leaves `workloads` with under
-    /// `cfg`, found without building a core. Only
-    /// [`AdmissionMode::Sedate`] closes gates, so only it screens.
-    pub(crate) fn admission_gate_for(cfg: &SimConfig, workloads: &[Workload]) -> FetchGate {
-        let mut gate = FetchGate::open();
-        if cfg.admission == AdmissionMode::Sedate {
-            for (t, w) in workloads.iter().enumerate() {
-                let program = w.program_with(&cfg.mem, cfg.time_scale);
-                let stroke = screen(&program, cfg).verdict == Verdict::HeatStroke;
-                gate.set(ThreadId(t as u8), stroke);
-            }
-        }
-        gate
     }
 
     /// The core, for cloning after [`Simulator::warm_up`].
@@ -378,13 +340,12 @@ impl Simulator {
         Ok(self.run_measured(on_sample))
     }
 
-    /// The warm-up phase: caches and predictors, no DTM, no thermal. Its
-    /// outcome depends only on the core's configuration, its programs, the
-    /// warm-up length and the admission gate — the campaign engine's
-    /// warm-up identity. Admission-sedated threads stay gated even here:
-    /// they were never supposed to execute a cycle.
+    /// The warm-up phase: caches and predictors, no DTM, no thermal, every
+    /// fetch gate open. Its outcome depends only on the core's
+    /// configuration, its programs and the warm-up length — the campaign
+    /// engine's warm-up identity.
     pub(crate) fn warm_up(&mut self) {
-        IdleProbe::new().tick_span(&mut self.cpu, self.admission_gate, self.cfg.warmup_cycles);
+        IdleProbe::new().tick_span(&mut self.cpu, FetchGate::open(), self.cfg.warmup_cycles);
         let _ = self.cpu.take_access_counts();
     }
 
@@ -415,7 +376,7 @@ impl Simulator {
         }
 
         // ---- Measured quantum. ----
-        let mut gate = self.admission_gate;
+        let mut gate = FetchGate::open();
         let mut global_stall = false;
         let mut power_accum = AccessMatrix::new();
         let mut breakdowns = vec![ThreadBreakdown::default(); nthreads];
@@ -565,14 +526,6 @@ impl Simulator {
             let (prev_gate, prev_stall) = (gate, global_stall);
             global_stall = decision.global_stall;
             gate = decision.gate;
-            // Admission sedation is sticky: the DTM may open its own gates
-            // as blocks cool, but a thread sedated at admission never runs.
-            for t in 0..nthreads {
-                let tid = ThreadId(t as u8);
-                if self.admission_gate.is_gated(tid) {
-                    gate.set(tid, true);
-                }
-            }
             on_sample(&Sample {
                 cycle,
                 sensor_fresh,

@@ -1,4 +1,4 @@
-//! End-to-end admission screening: every [`AdmissionMode`] exercised
+//! End-to-end admission screening: both [`AdmissionMode`]s exercised
 //! through [`Simulator::attach`] with a benign, a suspicious, and a
 //! heat-stroke guest.
 //!
@@ -10,7 +10,7 @@
 
 use hs_core::ReportKind;
 use hs_cpu::ThreadId;
-use hs_sim::{AdmissionMode, HeatSink, PolicyKind, SimConfig, SimError, Simulator};
+use hs_sim::{AdmissionMode, HeatSink, PolicyKind, SimConfig, Simulator};
 use hs_workloads::{SpecWorkload, Workload};
 
 fn sim(mode: AdmissionMode) -> Simulator {
@@ -34,7 +34,6 @@ fn off_mode_attaches_everything_silently() {
     s.attach(STROKE).unwrap();
     let stats = s.run_quantum();
     assert_eq!(stats.count_kind(ReportKind::AdmissionFlagged), 0);
-    assert_eq!(stats.count_kind(ReportKind::AdmissionSedated), 0);
     // Unscreened, the attacker runs at full tilt.
     assert!(stats.thread(1).committed > 0);
 }
@@ -47,9 +46,8 @@ fn warn_mode_logs_but_attaches() {
     s.attach(STROKE).unwrap();
     let stats = s.run_quantum();
     // One flag for the suspicious guest, one for the heat-stroke guest;
-    // nothing for gcc, and nobody is sedated.
+    // nothing for gcc.
     assert_eq!(stats.count_kind(ReportKind::AdmissionFlagged), 2);
-    assert_eq!(stats.count_kind(ReportKind::AdmissionSedated), 0);
     let flagged: Vec<_> = stats
         .reports
         .iter()
@@ -61,51 +59,4 @@ fn warn_mode_logs_but_attaches() {
     for t in 0..3 {
         assert!(stats.thread(t).committed > 0, "thread {t} never ran");
     }
-}
-
-#[test]
-fn sedate_mode_attaches_the_attacker_throttled() {
-    let mut s = sim(AdmissionMode::Sedate);
-    s.attach(BENIGN).unwrap();
-    s.attach(STROKE).unwrap();
-    let stats = s.run_quantum();
-    assert_eq!(stats.count_kind(ReportKind::AdmissionSedated), 1);
-    // The attacker's fetch gate is closed from cycle 0: it commits
-    // nothing while the victim runs normally.
-    assert_eq!(stats.thread(1).committed, 0, "sedated thread executed");
-    assert!(stats.thread(0).committed > 0);
-}
-
-#[test]
-fn sedate_mode_admits_suspicious_with_a_warning_only() {
-    let mut s = sim(AdmissionMode::Sedate);
-    s.attach(SUSPICIOUS).unwrap();
-    let stats = s.run_quantum();
-    // Suspicious is not HeatStroke: flagged, never gated.
-    assert_eq!(stats.count_kind(ReportKind::AdmissionFlagged), 1);
-    assert_eq!(stats.count_kind(ReportKind::AdmissionSedated), 0);
-    assert!(stats.thread(0).committed > 0);
-}
-
-#[test]
-fn reject_mode_returns_a_typed_error_for_heat_stroke_only() {
-    let mut s = sim(AdmissionMode::Reject);
-    s.attach(BENIGN).unwrap();
-    s.attach(SUSPICIOUS).unwrap();
-    let err = s.attach(STROKE).unwrap_err();
-    match err {
-        SimError::AdmissionRejected {
-            workload,
-            est_temp_k,
-        } => {
-            assert_eq!(workload, "evader-split");
-            assert!(est_temp_k > 300.0, "implausible estimate {est_temp_k}");
-        }
-        other => panic!("expected AdmissionRejected, got {other:?}"),
-    }
-    // The rejected workload occupies no context: the survivors run.
-    let stats = s.run_quantum();
-    assert_eq!(stats.threads.len(), 2);
-    assert!(stats.thread(0).committed > 0);
-    assert!(stats.thread(1).committed > 0);
 }

@@ -1,14 +1,12 @@
 //! Integration tests for the campaign supervision layer: determinism under
-//! chaos, panic isolation, deadlines, retry, and journal + resume.
+//! chaos, panic isolation, the cycle budget, retry, and journal + resume.
 
 use hs_sim::campaign::CampaignMatrix;
 use hs_sim::{
-    Campaign, ChaosPlan, HeatSink, PolicyKind, RetryPolicy, RunSpec, SimConfig, SimError,
-    Supervision,
+    Campaign, ChaosPlan, HeatSink, PolicyKind, RunSpec, SimConfig, SimError, Supervision,
 };
 use hs_workloads::{SpecWorkload, Workload};
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// Tiny runs: supervision logic, not thermal fidelity.
 fn tiny() -> SimConfig {
@@ -29,15 +27,6 @@ fn matrix(name: &str) -> Campaign {
         .sink(HeatSink::Ideal)
         .build(name)
         .expect("valid matrix")
-}
-
-/// Immediate-retry policy so tests never sleep.
-fn fast_retry(max_attempts: u32) -> RetryPolicy {
-    RetryPolicy {
-        max_attempts,
-        backoff: Duration::ZERO,
-        seed: 42,
-    }
 }
 
 /// A scratch path unique to this test, cleaned before use.
@@ -69,7 +58,7 @@ fn supervision_without_faults_matches_the_plain_engine() {
 fn chaos_is_deterministic_across_worker_counts() {
     let campaign = matrix("chaos-det");
     let sup = Supervision {
-        retry: fast_retry(3),
+        max_attempts: 3,
         chaos: Some(
             ChaosPlan::seeded(1905)
                 .panic_rate(0.4)
@@ -129,7 +118,7 @@ fn retry_clears_transient_faults_but_one_attempt_does_not() {
     let campaign = matrix("transients");
     let all_transient = ChaosPlan::seeded(3).transient_rate(1.0);
     let retried = Supervision {
-        retry: fast_retry(2),
+        max_attempts: 2,
         chaos: Some(all_transient.clone()),
         ..Supervision::default()
     };
@@ -141,7 +130,7 @@ fn retry_clears_transient_faults_but_one_attempt_does_not() {
     assert_eq!(report.runs.len(), 6);
 
     let single_shot = Supervision {
-        retry: fast_retry(1),
+        max_attempts: 1,
         chaos: Some(all_transient),
         ..Supervision::default()
     };
@@ -186,7 +175,7 @@ fn cycle_budget_refuses_busters_before_they_execute() {
     );
     let sup = Supervision {
         cycle_budget: Some(budget),
-        retry: fast_retry(5),
+        max_attempts: 5,
         ..Supervision::default()
     };
     let report = campaign.run_supervised(2, &sup).expect("supervised");
@@ -202,50 +191,10 @@ fn cycle_budget_refuses_busters_before_they_execute() {
 }
 
 #[test]
-fn wall_deadline_times_out_runaways() {
-    let campaign = matrix("wall");
-    let sup = Supervision {
-        wall_deadline: Some(Duration::ZERO), // every attempt overruns
-        retry: fast_retry(2),
-        ..Supervision::default()
-    };
-    let report = campaign.run_supervised(2, &sup).expect("supervised");
-    assert!(report.runs.is_empty());
-    assert_eq!(report.quarantined.len(), 6);
-    for q in &report.quarantined {
-        assert_eq!(q.kind, "timed-out:wall");
-        assert_eq!(
-            q.attempts, 2,
-            "wall timeouts are transient: retried to exhaustion"
-        );
-    }
-}
-
-#[test]
-fn injected_stalls_complete_under_a_generous_deadline() {
-    let campaign = matrix("stall");
-    let sup = Supervision {
-        wall_deadline: Some(Duration::from_secs(600)),
-        chaos: Some(
-            ChaosPlan::seeded(5)
-                .stall_rate(1.0)
-                .stall_for(Duration::from_millis(5)),
-        ),
-        ..Supervision::default()
-    };
-    let report = campaign.run_supervised(3, &sup).expect("supervised");
-    assert!(
-        report.quarantined.is_empty(),
-        "a stall under the deadline is harmless"
-    );
-    assert_eq!(report.runs.len(), 6);
-}
-
-#[test]
 fn abort_then_resume_is_byte_identical_to_an_uninterrupted_run() {
     let campaign = matrix("resume");
     let sup = Supervision {
-        retry: fast_retry(2),
+        max_attempts: 2,
         chaos: Some(ChaosPlan::seeded(9).permanent([2])),
         ..Supervision::default()
     };

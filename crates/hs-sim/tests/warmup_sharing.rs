@@ -4,10 +4,9 @@
 //! own `RunSpec::try_run()` — at any worker count, under chaos, and across
 //! an abort and resume.
 
-use hs_core::ReportKind;
 use hs_sim::{
     AdmissionMode, Campaign, CampaignReport, ChaosEvent, ChaosPlan, ExecMode, FaultConfig,
-    HeatSink, PolicyKind, RetryPolicy, RunRecord, RunSpec, SimConfig, Supervision,
+    HeatSink, PolicyKind, RunRecord, RunSpec, SimConfig, Supervision,
 };
 use hs_thermal::{Block, SensorFault, SensorFaultKind, SensorFaultPlan};
 use hs_workloads::{SpecWorkload, Workload};
@@ -37,11 +36,9 @@ fn spec(workloads: &[Workload], policy: PolicyKind, sink: HeatSink, cfg: SimConf
 /// Shared and unshared warm-ups, interleaved: six runs of gcc+variant2
 /// that differ only in what warm-up does not read (policy, sink,
 /// thresholds, a sensor-fault plan, interval mode), split by a run with a
-/// longer warm-up and a gcc solo; then gcc+evader-split under `Sedate`
-/// admission next to its `Off` and `Warn` twins. Screening gates the
-/// evader under `Sedate` only, so that run must not share with its twins,
-/// which share with each other (both leave the gate open). Five distinct
-/// warm-ups in all.
+/// longer warm-up and a gcc solo; then gcc+evader-split under `Off` and
+/// `Warn` admission, which share a warm-up (screening only files reports).
+/// Four distinct warm-ups in all.
 fn mixed() -> Campaign {
     let pair = [GCC, Workload::Variant2];
     let realistic = HeatSink::Realistic;
@@ -103,15 +100,6 @@ fn mixed() -> Campaign {
         spec(&pair, sedation, realistic, interval),
     );
     c.push(
-        "evader/sedate",
-        spec(
-            &evader,
-            sedation,
-            realistic,
-            screened(AdmissionMode::Sedate),
-        ),
-    );
-    c.push(
         "evader/off",
         spec(&evader, sedation, realistic, screened(AdmissionMode::Off)),
     );
@@ -158,14 +146,6 @@ fn expected_json(report: &CampaignReport, runs: Vec<RunRecord>) -> String {
     .to_json()
 }
 
-fn fast_retry(max_attempts: u32) -> RetryPolicy {
-    RetryPolicy {
-        max_attempts,
-        backoff: Duration::ZERO,
-        seed: 42,
-    }
-}
-
 /// A scratch journal path unique to this test, cleaned before use.
 fn scratch(test: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!(
@@ -180,11 +160,6 @@ fn scratch(test: &str) -> PathBuf {
 fn shared_warmups_reproduce_every_run_exactly() {
     let campaign = mixed();
     let expected = reference(&campaign, 0..campaign.len());
-    // The scenario is what it claims: the Sedate twin really is gated.
-    let sedate = &expected[8].stats;
-    assert_eq!(sedate.count_kind(ReportKind::AdmissionSedated), 1);
-    assert_eq!(sedate.thread(1).committed, 0, "evader ran despite Sedate");
-    assert!(expected[9].stats.thread(1).committed > 0);
     for jobs in [1, 2, 4] {
         let report = campaign.run(jobs).expect("campaign runs");
         assert_eq!(
@@ -192,7 +167,7 @@ fn shared_warmups_reproduce_every_run_exactly() {
             expected_json(&report, expected.clone()),
             "jobs={jobs}"
         );
-        assert_eq!(report.warmups, 5, "one warm-up per identity at jobs={jobs}");
+        assert_eq!(report.warmups, 4, "one warm-up per identity at jobs={jobs}");
     }
 }
 
@@ -240,7 +215,7 @@ fn a_chaos_panic_on_a_groups_first_run_strands_nobody() {
         })
         .expect("some seed panics run 0 alone");
     let retried = Supervision {
-        retry: fast_retry(2),
+        max_attempts: 2,
         chaos: Some(plan),
         ..Supervision::default()
     };
@@ -269,50 +244,6 @@ fn a_chaos_panic_on_a_groups_first_run_strands_nobody() {
             "jobs={jobs}"
         );
         assert_eq!(report.warmups, 2, "jobs={jobs}");
-    }
-}
-
-#[test]
-fn a_refused_warming_run_hands_its_warmup_on() {
-    // Same workloads and an open gate under both modes, so one warm-up
-    // identity; `Reject` refuses the evader at attach, after it took the
-    // duty to warm, and the `Warn` twin must warm up itself.
-    let screened = |admission| {
-        let mut c = SimConfig::scaled(50.0);
-        c.warmup_cycles = 20_000;
-        c.quantum_cycles = 30_000;
-        c.admission = admission;
-        c
-    };
-    let evader = [GCC, Workload::EvaderSplit];
-    let mut campaign = Campaign::new("refused");
-    for (label, admission) in [
-        ("evader/reject", AdmissionMode::Reject),
-        ("evader/warn", AdmissionMode::Warn),
-    ] {
-        campaign.push(
-            label,
-            spec(
-                &evader,
-                PolicyKind::SelectiveSedation,
-                HeatSink::Realistic,
-                screened(admission),
-            ),
-        );
-    }
-    let expected = reference(&campaign, [1]);
-    for jobs in [1, 2] {
-        let report = campaign
-            .run_supervised(jobs, &Supervision::default())
-            .expect("supervised");
-        assert_eq!(report.quarantined.len(), 1, "jobs={jobs}");
-        assert_eq!(report.quarantined[0].kind, "failed");
-        assert_eq!(
-            report.to_json(),
-            expected_json(&report, expected.clone()),
-            "jobs={jobs}"
-        );
-        assert_eq!(report.warmups, 1, "jobs={jobs}");
     }
 }
 

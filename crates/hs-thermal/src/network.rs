@@ -499,7 +499,8 @@ impl ThermalNetwork {
     }
 
     /// Resets every node to ambient.
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    fn reset(&mut self) {
         self.temps = [self.config.ambient_k; NUM_NODES];
     }
 }

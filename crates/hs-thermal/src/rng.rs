@@ -48,7 +48,8 @@ impl XorShift64 {
     }
 
     /// A uniform sample in `[lo, hi)`. `hi` must exceed `lo`.
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
+    #[cfg(test)]
+    fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
         lo + self.next_below(hi - lo)
     }
 
