@@ -62,12 +62,12 @@ impl Default for ArchState {
     }
 }
 
-/// A fast, deterministic hasher for word addresses. Functional memory is
-/// keyed by 8-byte-aligned addresses from simulated programs; SipHash's
+/// A fast, deterministic hasher for address keys. Functional memory is
+/// keyed by page numbers of addresses from simulated programs; SipHash's
 /// collision resistance against adversarial keys buys nothing here and its
 /// cost lands on the dispatch-stage load/store hot path. The SplitMix64
 /// finisher mixes high entropy into the low bits `HashMap` indexes with,
-/// which a bare multiply would leave zero for 8-aligned keys.
+/// which a bare multiply would leave zero for aligned keys.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AddrHasher(u64);
 
@@ -94,12 +94,36 @@ impl std::hash::Hasher for AddrHasher {
 
 type AddrState = std::hash::BuildHasherDefault<AddrHasher>;
 
-/// A sparse, word-granular data memory. Addresses are byte addresses; loads
-/// and stores access naturally aligned 8-byte words (the low three address
-/// bits are ignored, matching the simplified data path of the simulator).
+/// Words per page of [`FlatMemory`]: 64 words, 512 bytes.
+const PAGE_WORDS: usize = 64;
+
+/// Address bits below the page number: 3 for the byte in a word, 6 for
+/// the word in a page.
+const PAGE_SHIFT: u32 = 3 + PAGE_WORDS.trailing_zeros();
+
+/// One page of [`FlatMemory`].
+#[derive(Debug, Clone)]
+struct Page {
+    words: [u64; PAGE_WORDS],
+    /// Bit `i` is set once word `i` has been written.
+    written: u64,
+}
+
+/// A sparse data memory. Addresses are byte addresses; loads and stores
+/// access naturally aligned 8-byte words (the low three address bits are
+/// ignored, matching the simplified data path of the simulator).
+///
+/// Words live in 512-byte pages, allocated on a page's first write and
+/// found through a map from page number to page. The bundled programs
+/// write densely: each one that stores fills on average 98.8–100 % of the
+/// pages it writes, so a word costs about 8 bytes, against about 34 for a
+/// map entry per word. A program writing one word per page would pay about
+/// 16 times more per word than such a map; either way the memory is
+/// bounded by the run's store count.
 #[derive(Debug, Clone, Default)]
 pub struct FlatMemory {
-    words: HashMap<u64, u64, AddrState>,
+    /// Every written page, by page number (address >> [`PAGE_SHIFT`]).
+    pages: HashMap<u64, Box<Page>, AddrState>,
 }
 
 impl FlatMemory {
@@ -112,19 +136,37 @@ impl FlatMemory {
     /// Reads the 8-byte word containing `addr`.
     #[must_use]
     pub fn read(&self, addr: u64) -> u64 {
-        *self.words.get(&(addr & !7)).unwrap_or(&0)
+        self.pages
+            .get(&(addr >> PAGE_SHIFT))
+            .map_or(0, |p| p.words[word_of(addr)])
     }
 
     /// Writes the 8-byte word containing `addr`.
     pub fn write(&mut self, addr: u64, value: u64) {
-        self.words.insert(addr & !7, value);
+        let page = self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| {
+            Box::new(Page {
+                words: [0; PAGE_WORDS],
+                written: 0,
+            })
+        });
+        let w = word_of(addr);
+        page.words[w] = value;
+        page.written |= 1 << w;
     }
 
     /// Number of distinct words ever written.
     #[must_use]
     pub fn footprint_words(&self) -> usize {
-        self.words.len()
+        self.pages
+            .values()
+            .map(|p| p.written.count_ones() as usize)
+            .sum()
     }
+}
+
+/// The index of the word containing `addr` within its page.
+fn word_of(addr: u64) -> usize {
+    (addr >> 3) as usize % PAGE_WORDS
 }
 
 /// What happened when a single instruction executed.

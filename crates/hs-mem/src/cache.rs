@@ -194,8 +194,9 @@ impl SetAssocCache {
         }
     }
 
-    /// Invalidates the entire cache (e.g. between simulation runs).
-    pub fn flush(&mut self) {
+    /// Invalidates the entire cache.
+    #[cfg(test)]
+    pub(crate) fn flush(&mut self) {
         for line in &mut self.lines {
             *line = Line::default();
         }

@@ -99,6 +99,8 @@ pub(crate) fn execute<T: Send>(
         changed: Condvar::new(),
         group_of,
         warmups: AtomicUsize::new(0),
+        #[cfg(test)]
+        waiting: AtomicUsize::new(0),
     };
     let order = members.concat();
     let cursor = AtomicUsize::new(0);
@@ -174,6 +176,11 @@ struct Shared {
     /// Each run id's group (`usize::MAX` for runs not executed).
     group_of: Vec<usize>,
     warmups: AtomicUsize,
+    /// Runs in [`Shared::wait`], so a test can hold a warming duty until
+    /// another run waits for it. Counted under the table's lock, which the
+    /// waiter releases only once it waits.
+    #[cfg(test)]
+    waiting: AtomicUsize,
 }
 
 struct Table {
@@ -216,9 +223,15 @@ impl Shared {
 
     /// Waits for the next change of any group.
     fn wait<'a>(&self, table: MutexGuard<'a, Table>) -> MutexGuard<'a, Table> {
-        self.changed
+        #[cfg(test)]
+        self.waiting.fetch_add(1, Ordering::SeqCst);
+        let table = self
+            .changed
             .wait(table)
-            .unwrap_or_else(PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner);
+        #[cfg(test)]
+        self.waiting.fetch_sub(1, Ordering::SeqCst);
+        table
     }
 
     /// How run `id` starts: from the group's published core, or — when
@@ -329,5 +342,66 @@ impl Table {
         self.groups
             .iter()
             .any(|g| matches!(g.warm, Warm::Ready { owner, .. } if owner == worker))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SimConfig;
+    use hs_workloads::{SpecWorkload, Workload};
+
+    /// How a run of the test below started.
+    #[derive(Debug, PartialEq)]
+    enum Took {
+        /// The warming duty, dropped unpublished.
+        Dropped,
+        /// The warming duty, published.
+        Cold,
+        /// A clone of the published core.
+        Warm,
+    }
+
+    #[test]
+    fn a_dropped_warming_duty_passes_to_the_waiting_run() {
+        let spec = RunSpec::builder()
+            .workload(Workload::Spec(SpecWorkload::Gcc))
+            .config(SimConfig::scaled(2000.0))
+            .build()
+            .expect("valid spec");
+        let runs: Vec<PlannedRun> = ["a", "b"]
+            .map(|label| PlannedRun {
+                label: label.into(),
+                spec: spec.clone(),
+            })
+            .into();
+        let dropped = AtomicBool::new(false);
+        let executed = execute(
+            &runs,
+            &[0, 1],
+            2,
+            |id, worker| match worker.shared.start(id, worker.index) {
+                Start::Cold(ticket) if !dropped.swap(true, Ordering::SeqCst) => {
+                    // Hold the duty until the other run waits for it: the
+                    // drop must wake it, or the execution deadlocks.
+                    while worker.shared.waiting.load(Ordering::SeqCst) == 0 {
+                        std::thread::yield_now();
+                    }
+                    drop(ticket);
+                    Took::Dropped
+                }
+                Start::Cold(ticket) => {
+                    let cfg = spec.config();
+                    ticket.publish(&Cpu::new(cfg.cpu, cfg.mem));
+                    Took::Cold
+                }
+                Start::Warm(_) => Took::Warm,
+            },
+            |_| false,
+        );
+        let mut took: Vec<Took> = executed.results.into_iter().flatten().collect();
+        took.sort_by_key(|t| t == &Took::Cold);
+        assert_eq!(took, [Took::Dropped, Took::Cold]);
+        assert_eq!(executed.warmups, 1, "the dropped duty warmed nothing");
     }
 }

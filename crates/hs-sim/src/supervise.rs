@@ -9,13 +9,13 @@
 //!
 //! * **Panic isolation** — each run executes under
 //!   [`std::panic::catch_unwind`]; a poisoned run becomes a typed
-//!   [`RunOutcome::Panicked`] instead of a pool abort. No simulation state
+//!   `panicked` outcome instead of a pool abort. No simulation state
 //!   is shared between runs, so unwinding one run cannot corrupt another
 //!   (every run owns its own `Simulator`).
 //! * **Cycle budget** — the one deadline. A run lasts `warmup + quantum`
 //!   cycles, fixed by its spec, so a run whose length exceeds
 //!   [`Supervision::cycle_budget`] is refused before it executes
-//!   ([`RunOutcome::TimedOut`]).
+//!   (`timed-out:cycles`).
 //! * **Retry** — outcomes classified [`ErrorClass::Transient`] are retried
 //!   at once, up to [`Supervision::max_attempts`] attempts: no in-process
 //!   run waits on an external resource, so waiting between attempts buys
@@ -82,7 +82,7 @@ fn silence_supervised_panics() {
 
 /// The outcome lattice of one supervised attempt.
 #[derive(Debug, Clone)]
-pub enum RunOutcome {
+pub(crate) enum RunOutcome {
     /// The run finished and produced statistics.
     Completed(SimStats),
     /// The run returned a typed error.
@@ -102,7 +102,7 @@ pub enum RunOutcome {
 impl RunOutcome {
     /// Supervision classification; `None` for a completed run.
     #[must_use]
-    pub fn class(&self) -> Option<ErrorClass> {
+    fn class(&self) -> Option<ErrorClass> {
         match self {
             RunOutcome::Completed(_) => None,
             RunOutcome::Failed(e) => Some(e.class()),
@@ -115,7 +115,7 @@ impl RunOutcome {
 
     /// Stable kind tag used in journals, artifacts, and renderings.
     #[must_use]
-    pub fn kind(&self) -> &'static str {
+    fn kind(&self) -> &'static str {
         match self {
             RunOutcome::Completed(_) => "completed",
             RunOutcome::Failed(_) => "failed",
@@ -126,7 +126,7 @@ impl RunOutcome {
 
     /// Deterministic one-line description.
     #[must_use]
-    pub fn detail(&self) -> String {
+    fn detail(&self) -> String {
         match self {
             RunOutcome::Completed(_) => String::new(),
             RunOutcome::Failed(e) => e.to_string(),
@@ -147,7 +147,7 @@ pub struct QuarantinedRun {
     pub label: String,
     /// Attempts spent before quarantining (1 for permanent failures).
     pub attempts: u32,
-    /// Outcome kind tag ([`RunOutcome::kind`]).
+    /// Outcome kind tag: `failed`, `panicked` or `timed-out:cycles`.
     pub kind: String,
     /// Deterministic description of the final failure.
     pub detail: String,

@@ -429,6 +429,26 @@ mod tests {
     }
 
     #[test]
+    fn footprint_counts_the_distinct_words_stored() {
+        let mut stored_words = 0;
+        for s in SPEC_SUITE {
+            let mut m = hs_isa::Machine::new(s.program());
+            let mut stored = HashSet::new();
+            for _ in 0..1_000_000 {
+                let out = m.step().expect("the suite's programs never halt");
+                let inst = m.program().get(out.executed).expect("executed");
+                if let (hs_isa::Kind::Store { .. }, Some(addr)) = (inst.kind(), out.mem_addr) {
+                    stored.insert(addr & !7);
+                }
+            }
+            assert_eq!(m.memory().footprint_words(), stored.len(), "{s}");
+            stored_words += stored.len();
+        }
+        // Enough stores to fill many 512-byte pages.
+        assert!(stored_words > 100_000, "{stored_words} words stored");
+    }
+
+    #[test]
     fn programs_fit_in_the_icache() {
         for s in SPEC_SUITE {
             let p = s.program();
