@@ -84,7 +84,7 @@ pub mod stop_and_go;
 pub use config::{DtmThresholds, SedationConfig};
 pub use counts::BlockCounts;
 pub use dvfs::GlobalDvfs;
-pub use error::{ConfigError, ErrorClass};
+pub use error::ConfigError;
 pub use failsafe::{FailsafeConfig, FailsafeMode, FaultTolerantDtm};
 pub use faults::{CounterFault, CounterFaultKind, CounterFaultPlan, MAX_COUNTER_FAULTS};
 pub use guard::{GuardEvent, GuardedFrame, SensorGuard, SensorHealth};

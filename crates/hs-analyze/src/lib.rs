@@ -15,17 +15,16 @@
 //! 3. [`transient`] solves the thermal RC network in closed form under a
 //!    periodic, piecewise-constant power schedule — the shape of a
 //!    duty-cycled attack — with no per-cycle stepping;
-//! 4. [`lint`] hosts the actual judgment as a registry of *passes*
-//!    ([`ThermalLint`]): the steady-state screen, the phase-alternation
-//!    pass (feeds loop phase schedules recovered from the CFG to the
-//!    transient solver), the worst-case pass for unrecoverable trip
-//!    counts, and a coverage note. Every pass emits [`Diagnostic`]s with
-//!    a severity, a source span, and a verdict contribution;
-//! 5. the driver ([`analyze`], or [`analyze_with`] for a custom pass
-//!    list) aggregates loops bottom-up into per-loop access *rates*,
-//!    converts them to power with the same per-access energies the
-//!    dynamic simulator integrates, runs every pass, and joins the
-//!    diagnostics into the program verdict [`Verdict::Benign`] /
+//! 4. [`lint`] hosts the actual judgment as four *passes*: the
+//!    steady-state screen, the phase-alternation pass (feeds loop phase
+//!    schedules recovered from the CFG to the transient solver), the
+//!    worst-case pass for unrecoverable trip counts, and a coverage note.
+//!    Every pass emits [`Diagnostic`]s with a severity, a source span, and
+//!    a verdict contribution;
+//! 5. the driver ([`analyze`]) aggregates loops bottom-up into per-loop
+//!    access *rates*, converts them to power with the same per-access
+//!    energies the dynamic simulator integrates, runs the four passes, and
+//!    joins the diagnostics into the program verdict [`Verdict::Benign`] /
 //!    [`Verdict::Suspicious`] / [`Verdict::HeatStroke`].
 //!
 //! The steady-state pass condemns a loop only if it is **hot**
@@ -75,7 +74,7 @@ pub mod transient;
 
 pub use cfg::{BasicBlock, Cfg, NaturalLoop, TripCount};
 pub use dataflow::{MissProfile, ResourceVector};
-pub use lint::{default_passes, steady_state_only, Diagnostic, LintContext, Severity, ThermalLint};
+pub use lint::{Diagnostic, Severity};
 pub use report::{LoopReport, ProgramAnalysis, TransientReport, Verdict};
 pub use transient::{solve_periodic, Phase, TransientSolution};
 
@@ -163,21 +162,10 @@ struct LoopPhysics {
     direct_cycles: f64,
 }
 
-/// Statically analyzes `program` with the full default pass registry.
+/// Statically analyzes `program`, classifying it with the four lint
+/// passes.
 #[must_use]
 pub fn analyze(program: &Program, cfg: &AnalyzerConfig) -> ProgramAnalysis {
-    analyze_with(program, cfg, &default_passes())
-}
-
-/// Statically analyzes `program`, classifying it with the given lint
-/// passes. [`analyze`] uses [`default_passes`]; [`steady_state_only`]
-/// reproduces the pre-framework analyzer for regression comparisons.
-#[must_use]
-pub fn analyze_with(
-    program: &Program,
-    cfg: &AnalyzerConfig,
-    passes: &[Box<dyn ThermalLint>],
-) -> ProgramAnalysis {
     let graph = Cfg::build(program);
     let model = PowerModel::new(cfg.energy);
     let nloops = graph.loops.len();
@@ -231,7 +219,7 @@ pub fn analyze_with(
         };
     }
 
-    // Per-loop steady states, then the pass registry for the verdicts.
+    // Per-loop steady states, then the lint passes for the verdicts.
     let threshold = cfg.sustain_threshold_cycles();
     let mut summaries = Vec::with_capacity(nloops);
     for (lp, ph) in graph.loops.iter().zip(&phys) {
@@ -267,11 +255,12 @@ pub fn analyze_with(
         });
     }
 
-    let cx = LintContext::new(program, &graph, cfg, &summaries);
+    let cx = lint::LintContext::new(&graph, cfg, &summaries);
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    for pass in passes {
-        diagnostics.extend(pass.run(&cx));
-    }
+    lint::steady_state(&cx, &mut diagnostics);
+    lint::phase_alternation(&cx, &mut diagnostics);
+    lint::worst_case_trip(&cx, &mut diagnostics);
+    lint::trip_coverage(&cx, &mut diagnostics);
 
     let transients: Vec<Option<TransientReport>> = (0..nloops)
         .map(|li| {

@@ -1,31 +1,30 @@
-//! The lint-pass framework: every verdict the analyzer produces is owned
-//! by a named pass emitting machine-readable [`Diagnostic`]s.
+//! The lint passes: every verdict the analyzer produces is owned by a
+//! named pass emitting machine-readable [`Diagnostic`]s.
 //!
-//! A pass implements [`ThermalLint`] and inspects a [`LintContext`] — the
-//! program, its CFG/loop forest, and per-loop aggregated physics — and
-//! returns diagnostics carrying a severity, a verdict contribution, and an
-//! instruction span. The program's verdict is the join (max) over all
-//! diagnostics; a loop's verdict is the join over the diagnostics anchored
-//! to it. The default registry ([`default_passes`]) runs:
+//! Each pass inspects a `LintContext` — the program's CFG/loop forest and
+//! per-loop aggregated physics — and emits diagnostics carrying a severity,
+//! a verdict contribution, and an instruction span. The program's verdict
+//! is the join (max) over all diagnostics; a loop's verdict is the join
+//! over the diagnostics anchored to it. [`crate::analyze`] runs, in order:
 //!
-//! * [`SteadyStatePass`] (`steady-state`) — the original rule: a loop that
-//!   *sustains* a power density whose steady-state hot-spot temperature
-//!   clears the heat-stroke bar.
-//! * [`PhaseAlternationPass`] (`phase-alternation`) — recovers each
-//!   repeating loop's body as a periodic power square-wave (one phase per
-//!   child loop, in program order, plus the loop's own straight-line
-//!   remainder) and judges the closed-form peak of the transient envelope
-//!   ([`crate::transient`]). This catches duty-cycle evasion: schedules
-//!   whose *average* is benign but whose peak still crosses the bar.
-//! * [`WorstCaseTripPass`] (`worst-case-trip`) — escalates hot loops whose
-//!   trip count could not be recovered to [`Verdict::Suspicious`] instead
-//!   of silently under-weighting them with the default trip.
-//! * [`TripCoveragePass`] (`trip-coverage`) — informational coverage: one
-//!   note per loop whose trip count stayed [`TripCount::Unknown`].
+//! * `steady-state` — the original rule: a loop that *sustains* a power
+//!   density whose steady-state hot-spot temperature clears the
+//!   heat-stroke bar.
+//! * `phase-alternation` — recovers each repeating loop's body as a
+//!   periodic power square-wave (one phase per child loop, in program
+//!   order, plus the loop's own straight-line remainder) and judges the
+//!   closed-form peak of the transient envelope ([`crate::transient`]).
+//!   This catches duty-cycle evasion: schedules whose *average* is benign
+//!   but whose peak still crosses the bar.
+//! * `worst-case-trip` — escalates hot loops whose trip count could not be
+//!   recovered to [`Verdict::Suspicious`] instead of silently
+//!   under-weighting them with the default trip.
+//! * `trip-coverage` — informational coverage: one note per loop whose
+//!   trip count stayed [`TripCount::Unknown`].
 //!
-//! [`steady_state_only`] builds a registry with just the first pass — the
-//! pre-framework analyzer — kept so regression tests can prove the evader
-//! workloads slip past it.
+//! Each pass reads only the shared context, so the verdict of the
+//! `steady-state` pass alone — the analyzer before the other passes
+//! existed — is the join of that pass's diagnostics.
 
 use crate::cfg::{Cfg, TripCount};
 use crate::dataflow::ResourceVector;
@@ -33,7 +32,6 @@ use crate::report::Verdict;
 use crate::transient::{solve_periodic, Phase, TransientSolution};
 use crate::AnalyzerConfig;
 use hs_cpu::ALL_RESOURCES;
-use hs_isa::Program;
 use hs_power::{resource_block, PowerModel};
 use hs_thermal::{Block, PowerVector};
 
@@ -96,51 +94,46 @@ pub struct Diagnostic {
 
 /// Per-loop aggregated physics handed to every pass.
 #[derive(Debug, Clone)]
-pub struct LoopSummary {
+pub(crate) struct LoopSummary {
     /// Average accesses per cycle per resource, children folded in at
     /// their trip weights.
-    pub rates: ResourceVector,
+    pub(crate) rates: ResourceVector,
     /// Steady-state cycles per iteration, children folded in.
-    pub cycles_per_iter: f64,
+    pub(crate) cycles_per_iter: f64,
     /// Back-to-back cycles one entry keeps the power density applied.
-    pub sustain_cycles: f64,
+    pub(crate) sustain_cycles: f64,
     /// Hottest block at this loop's full-intensity steady state.
-    pub hottest_block: Block,
+    pub(crate) hottest_block: Block,
     /// That block's steady-state temperature (kelvin).
-    pub est_temp_k: f64,
+    pub(crate) est_temp_k: f64,
     /// Accesses per cycle from the loop's own blocks only (no children).
-    pub direct_rates: ResourceVector,
+    pub(crate) direct_rates: ResourceVector,
     /// Cycles per iteration spent in the loop's own blocks only.
-    pub direct_cycles: f64,
+    pub(crate) direct_cycles: f64,
     /// Instruction span `[start, end)` covered by the loop's blocks.
-    pub span: (usize, usize),
+    pub(crate) span: (usize, usize),
 }
 
 /// Everything a pass may inspect.
 #[derive(Debug)]
-pub struct LintContext<'a> {
-    /// The program under analysis.
-    pub program: &'a Program,
-    /// Its CFG and loop forest.
-    pub graph: &'a Cfg,
+pub(crate) struct LintContext<'a> {
+    /// The program's CFG and loop forest.
+    graph: &'a Cfg,
     /// The machine the program is judged against.
-    pub config: &'a AnalyzerConfig,
+    config: &'a AnalyzerConfig,
     /// Per-loop physics, parallel to [`Cfg::loops`].
-    pub loops: &'a [LoopSummary],
+    loops: &'a [LoopSummary],
     model: PowerModel,
 }
 
 impl<'a> LintContext<'a> {
     /// Builds a context; `loops` must be parallel to `graph.loops`.
-    #[must_use]
-    pub fn new(
-        program: &'a Program,
+    pub(crate) fn new(
         graph: &'a Cfg,
         config: &'a AnalyzerConfig,
         loops: &'a [LoopSummary],
     ) -> Self {
         LintContext {
-            program,
             graph,
             config,
             loops,
@@ -151,8 +144,7 @@ impl<'a> LintContext<'a> {
     /// Converts access rates into a per-block power vector (idle leakage
     /// plus dynamic switching) — the same mapping the dynamic simulator
     /// integrates.
-    #[must_use]
-    pub fn power_at(&self, rates: &ResourceVector) -> PowerVector {
+    fn power_at(&self, rates: &ResourceVector) -> PowerVector {
         let mut power = self.model.idle_power();
         for r in ALL_RESOURCES {
             power.add(
@@ -165,105 +157,54 @@ impl<'a> LintContext<'a> {
     }
 
     /// The heat-stroke temperature bar (emergency plus attack margin).
-    #[must_use]
-    pub fn stroke_k(&self) -> f64 {
+    fn stroke_k(&self) -> f64 {
         self.config.thresholds.emergency_k + ATTACK_MARGIN_K
     }
 
     /// The suspicion temperature bar, just below the heat-stroke bar.
-    #[must_use]
-    pub fn suspicious_k(&self) -> f64 {
+    fn suspicious_k(&self) -> f64 {
         self.stroke_k() - SUSPICIOUS_MARGIN_K
     }
 
     /// The sustain threshold the verdicts are judged against (cycles).
-    #[must_use]
-    pub fn sustain_threshold(&self) -> f64 {
+    fn sustain_threshold(&self) -> f64 {
         self.config.sustain_threshold_cycles()
     }
 }
 
-/// A static analysis pass over one program.
-pub trait ThermalLint {
-    /// Stable kebab-case identifier, used in JSON output.
-    fn id(&self) -> &'static str;
-    /// One-line description of what the pass detects.
-    fn description(&self) -> &'static str;
-    /// Runs the pass and returns its findings.
-    fn run(&self, cx: &LintContext<'_>) -> Vec<Diagnostic>;
-}
-
-impl std::fmt::Debug for dyn ThermalLint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ThermalLint({})", self.id())
-    }
-}
-
-/// The full default registry, in execution order.
-#[must_use]
-pub fn default_passes() -> Vec<Box<dyn ThermalLint>> {
-    vec![
-        Box::new(SteadyStatePass),
-        Box::new(PhaseAlternationPass),
-        Box::new(WorstCaseTripPass),
-        Box::new(TripCoveragePass),
-    ]
-}
-
-/// Only the original steady-state rule — the analyzer as it existed before
-/// the pass framework. Duty-cycle evaders are Benign under this registry.
-#[must_use]
-pub fn steady_state_only() -> Vec<Box<dyn ThermalLint>> {
-    vec![Box::new(SteadyStatePass)]
-}
-
-/// The original verdict rule: hot (full-intensity steady state at/above
-/// the bar) *and* sustained (applied back-to-back past the threshold).
-#[derive(Debug, Clone, Copy)]
-pub struct SteadyStatePass;
-
-impl ThermalLint for SteadyStatePass {
-    fn id(&self) -> &'static str {
-        "steady-state"
-    }
-
-    fn description(&self) -> &'static str {
-        "flags loops sustaining a steady-state hot spot past the emergency bar"
-    }
-
-    fn run(&self, cx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (li, lp) in cx.loops.iter().enumerate() {
-            let sustained = lp.sustain_cycles >= cx.sustain_threshold();
-            let (severity, verdict) = if sustained && lp.est_temp_k >= cx.stroke_k() {
-                (Severity::Error, Verdict::HeatStroke)
-            } else if sustained && lp.est_temp_k >= cx.suspicious_k() {
-                (Severity::Warning, Verdict::Suspicious)
-            } else if lp.est_temp_k >= cx.stroke_k() {
-                // Hot but too short to heat silicon: informational only,
-                // the phase pass decides whether repetition makes it real.
-                (Severity::Note, Verdict::Benign)
-            } else {
-                continue;
-            };
-            out.push(Diagnostic {
-                pass: self.id(),
-                severity,
-                verdict,
-                loop_index: Some(li),
-                span: lp.span,
-                message: format!(
-                    "loop sustains {} at {:.1} K steady state for {} cycles \
-                     (threshold {} cycles)",
-                    lp.hottest_block.name(),
-                    lp.est_temp_k,
-                    fmt_cycles(lp.sustain_cycles),
-                    fmt_cycles(cx.sustain_threshold()),
-                ),
-                peak_temp_k: Some(lp.est_temp_k),
-            });
-        }
-        out
+/// The `steady-state` pass, the original verdict rule: hot (full-intensity
+/// steady state at/above the bar) *and* sustained (applied back-to-back
+/// past the threshold).
+pub(crate) fn steady_state(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    for (li, lp) in cx.loops.iter().enumerate() {
+        let sustained = lp.sustain_cycles >= cx.sustain_threshold();
+        let (severity, verdict) = if sustained && lp.est_temp_k >= cx.stroke_k() {
+            (Severity::Error, Verdict::HeatStroke)
+        } else if sustained && lp.est_temp_k >= cx.suspicious_k() {
+            (Severity::Warning, Verdict::Suspicious)
+        } else if lp.est_temp_k >= cx.stroke_k() {
+            // Hot but too short to heat silicon: informational only,
+            // the phase pass decides whether repetition makes it real.
+            (Severity::Note, Verdict::Benign)
+        } else {
+            continue;
+        };
+        out.push(Diagnostic {
+            pass: "steady-state",
+            severity,
+            verdict,
+            loop_index: Some(li),
+            span: lp.span,
+            message: format!(
+                "loop sustains {} at {:.1} K steady state for {} cycles \
+                 (threshold {} cycles)",
+                lp.hottest_block.name(),
+                lp.est_temp_k,
+                fmt_cycles(lp.sustain_cycles),
+                fmt_cycles(cx.sustain_threshold()),
+            ),
+            peak_temp_k: Some(lp.est_temp_k),
+        });
     }
 }
 
@@ -271,8 +212,7 @@ impl ThermalLint for SteadyStatePass {
 /// order, plus the loop's own straight-line remainder. `None` when the
 /// loop does not repeat, has fewer than two phases, or nests an infinite
 /// child (the child never yields control back, so there is no period).
-#[must_use]
-pub fn phase_schedule(cx: &LintContext<'_>, li: usize) -> Option<Vec<Phase>> {
+fn phase_schedule(cx: &LintContext<'_>, li: usize) -> Option<Vec<Phase>> {
     let lp = &cx.graph.loops[li];
     if lp.trip.weight() < 2.0 {
         return None;
@@ -309,140 +249,99 @@ pub fn phase_schedule(cx: &LintContext<'_>, li: usize) -> Option<Vec<Phase>> {
 
 /// Solves the transient envelope of loop `li`'s phase schedule, if it has
 /// one, returning the solution together with the schedule itself.
-#[must_use]
-pub fn loop_transient(cx: &LintContext<'_>, li: usize) -> Option<(TransientSolution, Vec<Phase>)> {
+pub(crate) fn loop_transient(
+    cx: &LintContext<'_>,
+    li: usize,
+) -> Option<(TransientSolution, Vec<Phase>)> {
     let phases = phase_schedule(cx, li)?;
     let sol = solve_periodic(&cx.config.thermal, &phases);
     Some((sol, phases))
 }
 
-/// The duty-cycle detector: judges the closed-form peak of each repeating
-/// loop's phase schedule instead of its average.
-#[derive(Debug, Clone, Copy)]
-pub struct PhaseAlternationPass;
-
-impl ThermalLint for PhaseAlternationPass {
-    fn id(&self) -> &'static str {
-        "phase-alternation"
-    }
-
-    fn description(&self) -> &'static str {
-        "judges the transient peak of alternating hot/cold phase schedules"
-    }
-
-    fn run(&self, cx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (li, lp) in cx.loops.iter().enumerate() {
-            let Some((sol, phases)) = loop_transient(cx, li) else {
-                continue;
-            };
-            let nphases = phases.len();
-            let (peak_block, peak) = sol.peak_hottest();
-            let overshoot = sol.overshoot_k();
-            let sustained = lp.sustain_cycles >= cx.sustain_threshold();
-            let (severity, verdict) = if sustained && peak >= cx.stroke_k() {
-                (Severity::Error, Verdict::HeatStroke)
-            } else if sustained && peak >= cx.suspicious_k() {
-                (Severity::Warning, Verdict::Suspicious)
-            } else if overshoot >= 0.5 {
-                (Severity::Note, Verdict::Benign)
-            } else {
-                continue;
-            };
-            out.push(Diagnostic {
-                pass: self.id(),
-                severity,
-                verdict,
-                loop_index: Some(li),
-                span: lp.span,
-                message: format!(
-                    "{nphases}-phase schedule peaks {} at {:.1} K, \
-                     {:+.1} K above its duty average",
-                    peak_block.name(),
-                    peak,
-                    overshoot,
-                ),
-                peak_temp_k: Some(peak),
-            });
-        }
-        out
+/// The `phase-alternation` pass, the duty-cycle detector: judges the
+/// closed-form peak of each repeating loop's phase schedule instead of its
+/// average.
+pub(crate) fn phase_alternation(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    for (li, lp) in cx.loops.iter().enumerate() {
+        let Some((sol, phases)) = loop_transient(cx, li) else {
+            continue;
+        };
+        let nphases = phases.len();
+        let (peak_block, peak) = sol.peak_hottest();
+        let overshoot = sol.overshoot_k();
+        let sustained = lp.sustain_cycles >= cx.sustain_threshold();
+        let (severity, verdict) = if sustained && peak >= cx.stroke_k() {
+            (Severity::Error, Verdict::HeatStroke)
+        } else if sustained && peak >= cx.suspicious_k() {
+            (Severity::Warning, Verdict::Suspicious)
+        } else if overshoot >= 0.5 {
+            (Severity::Note, Verdict::Benign)
+        } else {
+            continue;
+        };
+        out.push(Diagnostic {
+            pass: "phase-alternation",
+            severity,
+            verdict,
+            loop_index: Some(li),
+            span: lp.span,
+            message: format!(
+                "{nphases}-phase schedule peaks {} at {:.1} K, \
+                 {:+.1} K above its duty average",
+                peak_block.name(),
+                peak,
+                overshoot,
+            ),
+            peak_temp_k: Some(peak),
+        });
     }
 }
 
-/// Escalates hot loops with unrecoverable trip counts: the aggregation
-/// weights them with a small default trip, which an attacker could hide
-/// behind. Worst case (an arbitrarily large trip) would sustain, so a hot
-/// body is at least [`Verdict::Suspicious`].
-#[derive(Debug, Clone, Copy)]
-pub struct WorstCaseTripPass;
-
-impl ThermalLint for WorstCaseTripPass {
-    fn id(&self) -> &'static str {
-        "worst-case-trip"
-    }
-
-    fn description(&self) -> &'static str {
-        "escalates hot loops whose trip count could not be recovered"
-    }
-
-    fn run(&self, cx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (li, lp) in cx.loops.iter().enumerate() {
-            if cx.graph.loops[li].trip != TripCount::Unknown {
-                continue;
-            }
-            if lp.est_temp_k < cx.suspicious_k() {
-                continue;
-            }
-            out.push(Diagnostic {
-                pass: self.id(),
-                severity: Severity::Warning,
-                verdict: Verdict::Suspicious,
-                loop_index: Some(li),
-                span: lp.span,
-                message: format!(
-                    "hot loop ({} at {:.1} K steady state) has an \
-                     unrecoverable trip count; assuming it can sustain",
-                    lp.hottest_block.name(),
-                    lp.est_temp_k,
-                ),
-                peak_temp_k: Some(lp.est_temp_k),
-            });
+/// The `worst-case-trip` pass: escalates hot loops with unrecoverable trip
+/// counts. The aggregation weights them with a small default trip, which
+/// an attacker could hide behind. Worst case (an arbitrarily large trip)
+/// would sustain, so a hot body is at least [`Verdict::Suspicious`].
+pub(crate) fn worst_case_trip(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    for (li, lp) in cx.loops.iter().enumerate() {
+        if cx.graph.loops[li].trip != TripCount::Unknown {
+            continue;
         }
-        out
+        if lp.est_temp_k < cx.suspicious_k() {
+            continue;
+        }
+        out.push(Diagnostic {
+            pass: "worst-case-trip",
+            severity: Severity::Warning,
+            verdict: Verdict::Suspicious,
+            loop_index: Some(li),
+            span: lp.span,
+            message: format!(
+                "hot loop ({} at {:.1} K steady state) has an \
+                 unrecoverable trip count; assuming it can sustain",
+                lp.hottest_block.name(),
+                lp.est_temp_k,
+            ),
+            peak_temp_k: Some(lp.est_temp_k),
+        });
     }
 }
 
-/// Informational coverage: which loops the trip-count recovery gave up on.
-#[derive(Debug, Clone, Copy)]
-pub struct TripCoveragePass;
-
-impl ThermalLint for TripCoveragePass {
-    fn id(&self) -> &'static str {
-        "trip-coverage"
-    }
-
-    fn description(&self) -> &'static str {
-        "reports loops whose trip count recovery failed"
-    }
-
-    fn run(&self, cx: &LintContext<'_>) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        for (li, lp) in cx.loops.iter().enumerate() {
-            if cx.graph.loops[li].trip != TripCount::Unknown {
-                continue;
-            }
-            out.push(Diagnostic {
-                pass: self.id(),
-                severity: Severity::Note,
-                verdict: Verdict::Benign,
-                loop_index: Some(li),
-                span: lp.span,
-                message: "trip count not recovered; weighted with the default trip".to_string(),
-                peak_temp_k: None,
-            });
+/// The `trip-coverage` pass, informational coverage: which loops the
+/// trip-count recovery gave up on.
+pub(crate) fn trip_coverage(cx: &LintContext<'_>, out: &mut Vec<Diagnostic>) {
+    for (li, lp) in cx.loops.iter().enumerate() {
+        if cx.graph.loops[li].trip != TripCount::Unknown {
+            continue;
         }
-        out
+        out.push(Diagnostic {
+            pass: "trip-coverage",
+            severity: Severity::Note,
+            verdict: Verdict::Benign,
+            loop_index: Some(li),
+            span: lp.span,
+            message: "trip count not recovered; weighted with the default trip".to_string(),
+            peak_temp_k: None,
+        });
     }
 }
 
@@ -457,22 +356,6 @@ fn fmt_cycles(c: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_ids_are_unique_and_documented() {
-        let passes = default_passes();
-        let ids: Vec<&str> = passes.iter().map(|p| p.id()).collect();
-        let mut dedup = ids.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), ids.len(), "duplicate pass id");
-        for p in &passes {
-            assert!(!p.description().is_empty());
-        }
-        let legacy = steady_state_only();
-        assert_eq!(legacy.len(), 1);
-        assert_eq!(legacy[0].id(), "steady-state");
-    }
 
     #[test]
     fn severity_order_and_names() {

@@ -35,9 +35,11 @@
 //!
 //! ## Supervision flags
 //!
-//! An experiment runs on the supervised engine when its registry entry
-//! declares a supervision (only `chaos` does) or when any of these flags
-//! is given; everything else stays on the fail-fast engine, byte-for-byte.
+//! Every experiment runs on the supervised engine, under its registry
+//! entry's supervision (only `chaos` declares one) or the default one,
+//! with these flags layered on top. A run journal is written only when
+//! the experiment declares a supervision or one of these flags is given,
+//! so a paper experiment run without them writes none.
 //!
 //! * `--resume` — replay the experiment's journal and execute only the
 //!   runs it is missing (crash recovery; the resumed artifact is
@@ -64,12 +66,12 @@
 //! | 7 | unusable run journal |
 //!
 //! Rendered experiment text goes to stdout; progress and timing go to
-//! stderr, so stdout stays byte-deterministic. Supervised runs add a
-//! `quarantined: N` stderr line per experiment. When a supervision flag
-//! quarantines runs of an experiment that declares no supervision, its
-//! `--json` artifact (which records the quarantine) is still written, but
-//! it is not rendered: `campaign` prints one stderr line per quarantined
-//! run and exits 6.
+//! stderr, so stdout stays byte-deterministic. Every experiment prints a
+//! `quarantined: N` stderr line. When runs of an experiment that declares
+//! no supervision are quarantined (a run panicked or failed, or a resumed
+//! journal recorded one), its `--json` artifact (which records the
+//! quarantine) is still written, but it is not rendered: `campaign` prints
+//! one stderr line per quarantined run and exits 6.
 
 use crate::experiments::{find, Experiment, EXPERIMENTS};
 use hs_sim::admission::check_analysis_artifact;
@@ -270,7 +272,7 @@ impl Options {
         })
     }
 
-    /// Whether any flag asks for the supervised engine.
+    /// Whether any supervision flag is given.
     fn wants_supervision(&self) -> bool {
         self.resume
             || self.retries.is_some()
@@ -295,19 +297,16 @@ impl Options {
         }
     }
 
-    /// The supervision for one experiment: its registry default (if any)
-    /// with the CLI overrides layered on top; `None` when neither the
-    /// registry nor the flags ask for supervision (the fail-fast engine
-    /// stays in charge, byte-for-byte).
+    /// The supervision for one experiment: its registry default, else
+    /// [`Supervision::default()`], with the CLI overrides layered on top.
+    /// It journals only when the experiment declares a supervision or a
+    /// supervision flag is given.
     fn supervision_for(
         &self,
         e: &Experiment,
         cfg: &hs_sim::SimConfig,
         selected: usize,
-    ) -> Option<Supervision> {
-        if e.supervision.is_none() && !self.wants_supervision() {
-            return None;
-        }
+    ) -> Supervision {
         let mut sup = e.supervision.map_or_else(Supervision::default, |f| f(cfg));
         if let Some(n) = self.retries {
             sup.max_attempts = n;
@@ -315,8 +314,10 @@ impl Options {
         if let Some(k) = self.abort_after {
             sup.abort_after = Some(k);
         }
-        sup.journal = Some(self.journal_path(e.name, selected));
-        Some(sup)
+        if e.supervision.is_some() || self.wants_supervision() {
+            sup.journal = Some(self.journal_path(e.name, selected));
+        }
+        sup
     }
 }
 
@@ -444,37 +445,29 @@ pub fn run(args: impl IntoIterator<Item = String>) -> Result<(), Failure> {
         eprintln!("[{}/{}] {} ({jobs} jobs)", i + 1, selected.len(), e.name);
         let campaign = (e.build)(&cfg);
         let started = std::time::Instant::now();
-        let supervision = opts.supervision_for(e, &cfg, selected.len());
-        let sim_failure = |err: SimError| Failure {
+        let sup = opts.supervision_for(e, &cfg, selected.len());
+        if let Some(dir) = sup.journal.as_ref().and_then(|p| p.parent()) {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir)
+                    .map_err(|err| format!("cannot create {}: {err}", dir.display()))?;
+            }
+        }
+        let report = if opts.resume {
+            campaign.resume(jobs, &sup)
+        } else {
+            campaign.run_supervised(jobs, &sup)
+        }
+        .map_err(|err| Failure {
             code: sim_exit_code(&err),
             message: format!("{}: {err}", e.name),
-        };
-        let report = match &supervision {
-            None => campaign.run(jobs).map_err(sim_failure)?,
-            Some(sup) => {
-                if let Some(dir) = sup.journal.as_ref().and_then(|p| p.parent()) {
-                    if !dir.as_os_str().is_empty() {
-                        std::fs::create_dir_all(dir).map_err(|err| {
-                            Failure::from(format!("cannot create {}: {err}", dir.display()))
-                        })?;
-                    }
-                }
-                if opts.resume {
-                    campaign.resume(jobs, sup).map_err(sim_failure)?
-                } else {
-                    campaign.run_supervised(jobs, sup).map_err(sim_failure)?
-                }
-            }
-        };
+        })?;
         eprintln!(
             "      {} runs ({} warm-ups) in {:.1}s",
             report.runs.len(),
             report.warmups,
             started.elapsed().as_secs_f64()
         );
-        if supervision.is_some() {
-            eprintln!("      quarantined: {}", report.quarantined.len());
-        }
+        eprintln!("      quarantined: {}", report.quarantined.len());
         if let Some(json) = &opts.json {
             let path = artifact_path(json, e.name, selected.len());
             if let Some(dir) = path.parent() {
@@ -697,23 +690,19 @@ mod tests {
         let opts = parse(&[]).unwrap();
         let chaos = find("chaos").unwrap();
         let fig3 = find("fig3").unwrap();
-        let sup = opts
-            .supervision_for(chaos, &cfg, 1)
-            .expect("chaos is supervised");
+        let sup = opts.supervision_for(chaos, &cfg, 1);
         assert_eq!(sup.max_attempts, 3, "registry default");
-        assert!(sup.journal.is_some(), "supervised runs always journal");
+        assert!(sup.journal.is_some(), "a declared supervision journals");
         assert!(
-            opts.supervision_for(fig3, &cfg, 1).is_none(),
-            "paper experiments stay on the fail-fast engine"
+            opts.supervision_for(fig3, &cfg, 1).journal.is_none(),
+            "paper experiments journal nothing without a flag"
         );
         // CLI overrides layer on top of the registry default.
         let opts = parse(&["--retries", "7"]).unwrap();
-        let sup = opts.supervision_for(chaos, &cfg, 1).unwrap();
+        assert_eq!(opts.supervision_for(chaos, &cfg, 1).max_attempts, 7);
+        let sup = opts.supervision_for(fig3, &cfg, 1);
         assert_eq!(sup.max_attempts, 7);
-        assert!(
-            opts.supervision_for(fig3, &cfg, 1).is_some(),
-            "flags opt any experiment in"
-        );
+        assert!(sup.journal.is_some(), "a flag makes any experiment journal");
     }
 
     #[test]

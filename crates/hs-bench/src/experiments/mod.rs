@@ -53,11 +53,12 @@ pub struct Experiment {
     /// machine-readable document.
     pub artifact: Option<fn(&SimConfig) -> String>,
     /// Default supervision for this experiment. `None` (every paper
-    /// experiment) runs on the fail-fast engine exactly as before;
-    /// `Some` routes through `Campaign::run_supervised` — used by `chaos`,
-    /// which injects faults that *must* be supervised. CLI supervision
-    /// flags (`--resume`, `--retries`, `--journal`, `--abort-after`) layer
-    /// on top of this.
+    /// experiment) runs under `Supervision::default()` and writes no
+    /// journal; `Some` is used by `chaos`, which injects faults, retries
+    /// them and journals its runs. CLI supervision flags (`--resume`,
+    /// `--retries`, `--journal`, `--abort-after`) layer on top of either.
+    /// An experiment with a supervision renders its own quarantine; one
+    /// without is not rendered when a run is quarantined.
     pub supervision: Option<fn(&SimConfig) -> Supervision>,
 }
 

@@ -69,7 +69,7 @@ impl Default for ArchState {
 /// finisher mixes high entropy into the low bits `HashMap` indexes with,
 /// which a bare multiply would leave zero for aligned keys.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AddrHasher(u64);
+struct AddrHasher(u64);
 
 impl std::hash::Hasher for AddrHasher {
     fn finish(&self) -> u64 {
@@ -224,9 +224,10 @@ impl Machine {
         &self.state
     }
 
-    /// Mutable access to the architectural state (useful for seeding
-    /// registers before a run).
-    pub fn state_mut(&mut self) -> &mut ArchState {
+    /// Mutable access to the architectural state, for seeding registers
+    /// before a run.
+    #[cfg(test)]
+    fn state_mut(&mut self) -> &mut ArchState {
         &mut self.state
     }
 

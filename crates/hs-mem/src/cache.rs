@@ -181,19 +181,6 @@ impl SetAssocCache {
         set.iter().any(|l| l.holds(tag))
     }
 
-    /// Invalidates the block containing `addr` if present; returns whether a
-    /// block was invalidated.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let tag = self.geometry.tag(addr);
-        let (_, set) = self.set_mut(addr);
-        if let Some(line) = set.iter_mut().find(|l| l.holds(tag)) {
-            line.tag_flags = 0;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Invalidates the entire cache.
     #[cfg(test)]
     pub(crate) fn flush(&mut self) {
@@ -277,15 +264,6 @@ mod tests {
         assert!(c.probe(0));
         c.access(2 * stride, false); // evicts block 0 (true LRU)
         assert!(!c.probe(0));
-    }
-
-    #[test]
-    fn invalidate_removes_block() {
-        let mut c = tiny();
-        c.access(0, false);
-        assert!(c.invalidate(0));
-        assert!(!c.probe(0));
-        assert!(!c.invalidate(0));
     }
 
     #[test]

@@ -43,8 +43,8 @@ impl CacheStats {
     }
 
     /// Miss rate in `[0, 1]`; zero when there were no accesses.
-    #[must_use]
-    pub fn miss_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn miss_rate(&self) -> f64 {
         let a = self.accesses();
         if a == 0 {
             0.0

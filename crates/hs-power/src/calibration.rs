@@ -10,13 +10,13 @@
 //! | sedation upper-threshold           | 356 K       |
 //! | emergency                          | 358.5 K     |
 //!
-//! These helpers evaluate steady-state register-file temperature for a
+//! The anchors below evaluate steady-state register-file temperature for a
 //! given access rate on top of a "typical" background activity profile.
 
 use crate::energy::resource_block;
 use crate::model::PowerModel;
 use hs_cpu::Resource;
-use hs_thermal::{Block, PowerVector, ThermalConfig, ThermalNetwork};
+use hs_thermal::{Block, PowerVector};
 
 /// Typical per-cycle access rates of a single ordinary (SPEC-like) thread,
 /// excluding the integer register file (supplied separately). Used to keep
@@ -65,25 +65,26 @@ pub fn chip_power(
     p
 }
 
-/// Steady-state integer-register-file temperature at a given register-file
-/// access rate (accesses/cycle) over the typical background.
-#[must_use]
-pub fn regfile_steady_temp(
-    model: &PowerModel,
-    thermal: &ThermalConfig,
-    regfile_rate: f64,
-    background_scale: f64,
-    freq_hz: f64,
-) -> f64 {
-    let net = ThermalNetwork::new(thermal);
-    let p = chip_power(model, regfile_rate, background_scale, freq_hz);
-    net.steady_state_temp(&p, Block::IntReg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::energy::EnergyTable;
+    use hs_thermal::{ThermalConfig, ThermalNetwork};
+
+    /// Steady-state integer-register-file temperature at a given
+    /// register-file access rate (accesses/cycle) over the typical
+    /// background.
+    fn regfile_steady_temp(
+        model: &PowerModel,
+        thermal: &ThermalConfig,
+        regfile_rate: f64,
+        background_scale: f64,
+        freq_hz: f64,
+    ) -> f64 {
+        let net = ThermalNetwork::new(thermal);
+        let p = chip_power(model, regfile_rate, background_scale, freq_hz);
+        net.steady_state_temp(&p, Block::IntReg)
+    }
 
     const FREQ: f64 = 4.0e9;
 

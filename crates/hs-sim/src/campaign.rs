@@ -3,8 +3,9 @@
 //! The paper's evaluation is a large matrix of runs — workload pairs × DTM
 //! policies × heat sinks × thresholds (Figs. 3–6, Table 1). A [`Campaign`]
 //! holds that matrix as declarative, labelled [`RunSpec`]s; [`Campaign::run`]
-//! executes it on a `std::thread` worker pool where **each run owns its own
-//! [`Simulator`](crate::Simulator)** and aggregates per-run [`SimStats`]
+//! executes it on the supervised engine ([`crate::supervise`]), a
+//! `std::thread` worker pool where **each run owns its own
+//! [`Simulator`](crate::Simulator)**, and aggregates per-run [`SimStats`]
 //! into a [`CampaignReport`]. Runs that share a warm-up identity (same
 //! workloads, core, memory, time scale and warm-up length) start from
 //! clones of one warmed core, so each distinct warm-up is simulated once.
@@ -48,13 +49,12 @@
 
 use crate::config::{FaultConfig, HeatSink, PolicyKind, SimConfig};
 use crate::error::SimError;
-use crate::executor;
 use crate::json::{Json, JsonError};
 use crate::runner::RunSpec;
 use crate::stats::SimStats;
-use crate::supervise::QuarantinedRun;
+use crate::supervise::{QuarantinedRun, Supervision};
 use hs_workloads::Workload;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One labelled entry of a campaign's run matrix.
 #[derive(Debug, Clone)]
@@ -148,50 +148,27 @@ impl Campaign {
     }
 
     /// Executes the whole matrix on `jobs` worker threads and aggregates
-    /// the results into a [`CampaignReport`].
+    /// the results into a [`CampaignReport`]: the supervised engine under
+    /// [`Supervision::default()`], with any quarantined run turned into an
+    /// error.
     ///
     /// `jobs` is clamped to `1..=len()`. Workers take runs from a shared
     /// cursor, the runs of each distinct warm-up back to back; each run
     /// builds and drops its own [`Simulator`](crate::Simulator), and runs
     /// sharing a warm-up start from clones of one warmed core (DESIGN.md
     /// §3b), so no run sees another's simulation. The report is ordered by
-    /// run id regardless of completion order.
+    /// run id regardless of completion order. A run that panics or fails
+    /// does not stop the others.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidRun`] (from the serial preflight pass —
-    /// nothing has been executed at that point) if any run is invalid.
-    ///
-    /// # Panics
-    ///
-    /// Propagates panics from the simulator itself; `preflight` guarantees
-    /// specs cannot panic on construction.
+    /// Returns the preflight's [`SimError`] if any run is invalid (nothing
+    /// has been executed at that point), or, once every run has finished,
+    /// [`SimError::InvalidRun`] naming the lowest-id run that panicked or
+    /// failed, its cause [`SimError::Interrupted`] naming the kind and
+    /// detail.
     pub fn run(&self, jobs: usize) -> Result<CampaignReport, SimError> {
-        self.preflight()?;
-        let started = Instant::now();
-        let ids: Vec<usize> = (0..self.runs.len()).collect();
-        let executed = executor::execute(
-            &self.runs,
-            &ids,
-            jobs,
-            |id, worker| worker.run(id, &self.runs[id].spec),
-            |_| false,
-        );
-        let mut runs = Vec::with_capacity(self.runs.len());
-        for (id, result) in executed.results.into_iter().enumerate() {
-            let stats = result
-                .unwrap_or_else(|| unreachable!("run {id} unexecuted"))
-                .map_err(|e| self.wrap(e))?;
-            runs.push(self.record(id, stats));
-        }
-        Ok(CampaignReport {
-            name: self.name.clone(),
-            runs,
-            quarantined: Vec::new(),
-            jobs: executed.jobs,
-            warmups: executed.warmups,
-            wall: started.elapsed(),
-        })
+        reject_quarantine(self.run_supervised(jobs, &Supervision::default())?)
     }
 
     /// The report record of run `id`.
@@ -211,18 +188,20 @@ impl Campaign {
             stats,
         }
     }
+}
 
-    fn wrap(&self, e: SimError) -> SimError {
-        // try_run errors after a passing preflight should be impossible;
-        // if they happen, at least keep the typed error instead of dying.
-        match e {
-            e @ SimError::InvalidRun { .. } => e,
-            other => SimError::InvalidRun {
-                id: usize::MAX,
-                label: self.name.clone(),
-                cause: Box::new(other),
-            },
-        }
+/// `report` itself when nothing was quarantined, else the lowest-id
+/// quarantined run as an error.
+fn reject_quarantine(report: CampaignReport) -> Result<CampaignReport, SimError> {
+    match report.quarantined.first() {
+        None => Ok(report),
+        Some(q) => Err(SimError::InvalidRun {
+            id: q.id,
+            label: q.label.clone(),
+            cause: Box::new(SimError::Interrupted {
+                what: format!("{}: {}", q.kind, q.detail),
+            }),
+        }),
     }
 }
 
@@ -376,9 +355,8 @@ pub struct CampaignReport {
     pub name: String,
     /// Per-run records, ordered by run id.
     pub runs: Vec<RunRecord>,
-    /// Runs the supervision layer gave up on, ordered by run id. Always
-    /// empty for [`Campaign::run`] (fail-fast has no quarantine); only
-    /// [`Campaign::run_supervised`](crate::Supervision) populates it.
+    /// Runs the supervisor gave up on, ordered by run id.
+    /// [`Campaign::run`] turns a non-empty quarantine into an error.
     pub quarantined: Vec<QuarantinedRun>,
     /// Worker threads used (accounting only — not serialized).
     pub jobs: usize,
@@ -637,6 +615,73 @@ mod tests {
         let back = CampaignReport::from_json(&report.to_json()).expect("parses");
         assert_eq!(back.name, "empty");
         assert!(back.runs.is_empty());
+    }
+
+    /// A report of one completed run and the given quarantine.
+    fn report_with(quarantined: Vec<QuarantinedRun>) -> CampaignReport {
+        CampaignReport {
+            name: "hand-built".into(),
+            runs: vec![RunRecord {
+                id: 0,
+                label: "solo".into(),
+                workloads: vec!["gcc".into()],
+                policy: "sedation".into(),
+                sink: "ideal".into(),
+                stats: SimStats::default(),
+            }],
+            quarantined,
+            jobs: 1,
+            warmups: 1,
+            wall: Duration::ZERO,
+        }
+    }
+
+    fn quarantined(id: usize, label: &str, kind: &str, detail: &str) -> QuarantinedRun {
+        QuarantinedRun {
+            id,
+            label: label.into(),
+            attempts: 1,
+            kind: kind.into(),
+            detail: detail.into(),
+        }
+    }
+
+    #[test]
+    fn a_quarantined_run_becomes_an_invalid_run_error() {
+        let one = report_with(vec![quarantined(
+            3,
+            "v1",
+            "panicked",
+            "index out of bounds",
+        )]);
+        let err = reject_quarantine(one).unwrap_err();
+        let message = err.to_string();
+        let SimError::InvalidRun { id, label, cause } = err else {
+            panic!("expected InvalidRun, got {err}");
+        };
+        assert_eq!((id, label.as_str()), (3, "v1"));
+        assert!(matches!(*cause, SimError::Interrupted { .. }), "{cause}");
+        assert!(
+            message.contains("panicked: index out of bounds"),
+            "the message names the kind and detail: {message}"
+        );
+        // Several: the lowest id (the quarantine is ordered by id) names it.
+        let two = report_with(vec![
+            quarantined(1, "gcc", "failed", "replayed"),
+            quarantined(4, "mcf", "panicked", "boom"),
+        ]);
+        let Err(SimError::InvalidRun { id, .. }) = reject_quarantine(two) else {
+            panic!("expected InvalidRun");
+        };
+        assert_eq!(id, 1);
+    }
+
+    #[test]
+    fn an_empty_quarantine_passes_the_report_through() {
+        let report = report_with(Vec::new());
+        let passed = reject_quarantine(report.clone()).expect("nothing quarantined");
+        assert_eq!(passed.to_json(), report.to_json());
+        assert_eq!((passed.jobs, passed.warmups), (1, 1));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! across the workspace. The panicking entry points (`run`, `new`) are thin
 //! wrappers kept for ergonomics in tests and examples.
 
-use hs_core::{ConfigError, ErrorClass};
+use hs_core::ConfigError;
 use std::error::Error;
 use std::fmt;
 
@@ -52,8 +52,9 @@ pub enum SimError {
         second: usize,
     },
     /// The environment — not the run's specification — failed: a worker
-    /// was lost, a campaign was aborted mid-flight, injected chaos fired.
-    /// The one [`ErrorClass::Transient`] variant: supervisors retry it.
+    /// was lost, a run panicked, a campaign was aborted mid-flight,
+    /// injected chaos fired. The one transient variant
+    /// ([`SimError::is_transient`]): supervisors retry it.
     Interrupted {
         /// What the environment did.
         what: String,
@@ -100,23 +101,23 @@ impl fmt::Display for SimError {
 }
 
 impl SimError {
-    /// Supervision classification: is this failure worth retrying?
+    /// Whether retrying the same run may succeed.
     ///
     /// Everything that is a pure function of the run's specification is
-    /// [`ErrorClass::Permanent`]; only [`SimError::Interrupted`] — the
-    /// environment failing, not the spec — is [`ErrorClass::Transient`].
-    /// [`SimError::InvalidRun`] inherits its cause's class.
+    /// permanent: re-executing the spec reproduces it. Only
+    /// [`SimError::Interrupted`] — the environment failing, not the spec —
+    /// is transient. [`SimError::InvalidRun`] answers as its cause.
     #[must_use]
-    pub fn class(&self) -> ErrorClass {
+    pub fn is_transient(&self) -> bool {
         match self {
-            SimError::Interrupted { .. } => ErrorClass::Transient,
-            SimError::InvalidRun { cause, .. } => cause.class(),
+            SimError::Interrupted { .. } => true,
+            SimError::InvalidRun { cause, .. } => cause.is_transient(),
             SimError::Config(_)
             | SimError::NoWorkloads
             | SimError::TooManyWorkloads { .. }
             | SimError::RunawayCombination
             | SimError::DuplicateLabel { .. }
-            | SimError::Journal { .. } => ErrorClass::Permanent,
+            | SimError::Journal { .. } => false,
         }
     }
 }
@@ -167,19 +168,19 @@ mod tests {
 
     #[test]
     fn classification_splits_spec_from_environment() {
-        assert_eq!(SimError::NoWorkloads.class(), ErrorClass::Permanent);
-        assert_eq!(SimError::RunawayCombination.class(), ErrorClass::Permanent);
+        assert!(!SimError::NoWorkloads.is_transient());
+        assert!(!SimError::RunawayCombination.is_transient());
         let e = SimError::Interrupted {
             what: "worker lost".into(),
         };
-        assert_eq!(e.class(), ErrorClass::Transient);
+        assert!(e.is_transient());
         // InvalidRun inherits from its cause.
         let wrapped = SimError::InvalidRun {
             id: 0,
             label: "x".into(),
             cause: Box::new(e),
         };
-        assert_eq!(wrapped.class(), ErrorClass::Transient);
+        assert!(wrapped.is_transient());
     }
 
     #[test]
@@ -191,7 +192,7 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("#2") && s.contains("#5") && s.contains("gcc/sedation"));
-        assert_eq!(e.class(), ErrorClass::Permanent);
+        assert!(!e.is_transient());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The campaign worker pool, shared by [`Campaign::run`](crate::Campaign::run)
-//! and the supervised engine, and the warm-up sharing it does for both.
+//! The campaign worker pool the supervised engine
+//! ([`crate::supervise`]) runs every campaign on, and the warm-up sharing
+//! it does.
 //!
 //! A run's warm-up reads nothing but its [`WarmupKey`]: the workloads in
 //! attach order, the core and memory configuration, the time scale and the

@@ -31,25 +31,11 @@ use crate::campaign::Campaign;
 use crate::error::SimError;
 use crate::json::Json;
 use crate::stats::SimStats;
-use crate::supervise::QuarantinedRun;
+use crate::supervise::{Done, QuarantinedRun};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
-
-/// One replayed journal record.
-#[derive(Debug)]
-pub(crate) enum JournalEntry {
-    /// The run completed; its journaled statistics (bit-exact round-trip).
-    Completed {
-        /// Stable run id.
-        id: usize,
-        /// The journaled statistics.
-        stats: SimStats,
-    },
-    /// The run was quarantined.
-    Quarantined(QuarantinedRun),
-}
 
 /// The append side of a run journal.
 ///
@@ -78,12 +64,12 @@ impl Journal {
     }
 
     /// Opens an existing journal for resume — validating its header
-    /// against `campaign` and replaying its records — or creates a fresh
-    /// one if `path` does not exist.
+    /// against `campaign` and replaying its records as `(run id, outcome)`
+    /// pairs — or creates a fresh one if `path` does not exist.
     pub(crate) fn open_or_create(
         path: &Path,
         campaign: &Campaign,
-    ) -> Result<(Journal, Vec<JournalEntry>), SimError> {
+    ) -> Result<(Journal, Vec<(usize, Done)>), SimError> {
         if !path.exists() {
             return Ok((Journal::create(path, campaign)?, Vec::new()));
         }
@@ -171,7 +157,7 @@ fn io_err(path: &Path, e: &std::io::Error) -> SimError {
 /// Parses and validates a journal body against the campaign it claims to
 /// belong to. Tolerates exactly one unparseable line, and only at the end
 /// of the file (a torn final write); anything else is corruption.
-fn replay(text: &str, campaign: &Campaign) -> Result<Vec<JournalEntry>, String> {
+fn replay(text: &str, campaign: &Campaign) -> Result<Vec<(usize, Done)>, String> {
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
     let Some((&head, body)) = lines.split_first() else {
         return Err("empty journal (missing header)".into());
@@ -228,20 +214,19 @@ fn replay(text: &str, campaign: &Campaign) -> Result<Vec<JournalEntry>, String> 
                 run.label
             )));
         }
-        match record.get("outcome").and_then(Json::as_str) {
+        let done = match record.get("outcome").and_then(Json::as_str) {
             Some("completed") => {
                 let stats = record.get("stats").ok_or_else(|| at("missing `stats`"))?;
-                entries.push(JournalEntry::Completed {
-                    id,
-                    stats: SimStats::from_json(stats)
-                        .map_err(|e| at(&format!("bad stats: {e}")))?,
-                });
+                Done::Completed(
+                    SimStats::from_json(stats).map_err(|e| at(&format!("bad stats: {e}")))?,
+                )
             }
-            Some("quarantined") => entries.push(JournalEntry::Quarantined(
-                QuarantinedRun::from_json(&record).map_err(|e| at(&e))?,
-            )),
+            Some("quarantined") => {
+                Done::Quarantined(QuarantinedRun::from_json(&record).map_err(|e| at(&e))?)
+            }
             other => return Err(at(&format!("unknown outcome {other:?}"))),
-        }
+        };
+        entries.push((id, done));
     }
     Ok(entries)
 }

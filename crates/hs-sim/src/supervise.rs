@@ -1,11 +1,11 @@
 //! # Campaign supervision: panic isolation, cycle budget, retries, chaos
 //!
-//! [`Campaign::run`](crate::Campaign::run) is fail-fast: the first bad run
-//! aborts the batch, and a panicking run poisons the whole worker pool.
-//! That is the right contract for reproducing the paper's figures, where
-//! every run is known good — and the wrong one for screening *hostile*
-//! guest code, which is this paper's whole threat model. This module adds
-//! the supervision layer:
+//! Every campaign runs on this engine. Its threat model is this paper's:
+//! hostile guest code, where one bad run must end as a record, not end the
+//! batch. [`Campaign::run`](crate::Campaign::run) is this engine under
+//! [`Supervision::default()`] and turns any quarantined run into an error;
+//! [`Campaign::run_supervised`] and [`Campaign::resume`] return the
+//! quarantine in the report. The layers:
 //!
 //! * **Panic isolation** — each run executes under
 //!   [`std::panic::catch_unwind`]; a poisoned run becomes a typed
@@ -16,10 +16,10 @@
 //!   cycles, fixed by its spec, so a run whose length exceeds
 //!   [`Supervision::cycle_budget`] is refused before it executes
 //!   (`timed-out:cycles`).
-//! * **Retry** — outcomes classified [`ErrorClass::Transient`] are retried
-//!   at once, up to [`Supervision::max_attempts`] attempts: no in-process
-//!   run waits on an external resource, so waiting between attempts buys
-//!   nothing.
+//! * **Retry** — a panic, or a failure whose [`SimError::is_transient`]
+//!   holds, is retried at once, up to [`Supervision::max_attempts`]
+//!   attempts: no in-process run waits on an external resource, so waiting
+//!   between attempts buys nothing.
 //! * **Quarantine** — a run that fails permanently (or exhausts its
 //!   attempts) lands in [`CampaignReport::quarantined`] as a
 //!   [`QuarantinedRun`]; the rest of the campaign completes.
@@ -35,20 +35,18 @@
 //!
 //! ## Determinism
 //!
-//! The supervised engine keeps the campaign engine's serial≡parallel
-//! byte-identity contract: outcomes are keyed by stable run id, chaos is a
-//! pure function of `(seed, run id, attempt)`, and the serialized report
-//! excludes everything scheduling-dependent (wall times, journal record
-//! order). A supervised report depends on nothing but the campaign and its
-//! [`Supervision`].
+//! The engine keeps the campaign's serial≡parallel byte-identity
+//! contract: outcomes are keyed by stable run id, chaos is a pure function
+//! of `(seed, run id, attempt)`, and the serialized report excludes
+//! everything scheduling-dependent (wall times, journal record order). A
+//! report depends on nothing but the campaign and its [`Supervision`].
 
 use crate::campaign::{Campaign, CampaignReport, PlannedRun};
 use crate::error::SimError;
 use crate::executor::{self, Worker};
-use crate::journal::{Journal, JournalEntry};
+use crate::journal::Journal;
 use crate::json::Json;
 use crate::stats::SimStats;
-use hs_core::ErrorClass;
 use hs_thermal::XorShift64;
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -58,22 +56,23 @@ use std::sync::Once;
 use std::time::Instant;
 
 thread_local! {
-    /// Set while this thread executes a supervised attempt, so the panic
-    /// hook knows the unwind is caught and expected.
-    static SUPERVISED: Cell<bool> = const { Cell::new(false) };
+    /// Set while this thread executes an attempt under a chaos plan, so
+    /// the panic hook knows the unwind may be injected and expected.
+    static CHAOS: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Installs (once, process-wide) a panic hook that stays silent for
-/// panics on supervised worker threads — they are caught, classified and
+/// panics of attempts under a chaos plan — injected panics are caught and
 /// reported through [`RunOutcome::Panicked`], so the default hook's
-/// backtrace would only spam stderr — and delegates every other panic to
-/// the previously installed hook unchanged.
-fn silence_supervised_panics() {
+/// message would only spam stderr — and delegates every other panic,
+/// a genuine simulator panic included, to the previously installed hook
+/// unchanged.
+fn silence_chaos_panics() {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            if !SUPERVISED.with(Cell::get) {
+            if !CHAOS.with(Cell::get) {
                 previous(info);
             }
         }));
@@ -100,19 +99,6 @@ pub(crate) enum RunOutcome {
 }
 
 impl RunOutcome {
-    /// Supervision classification; `None` for a completed run.
-    #[must_use]
-    fn class(&self) -> Option<ErrorClass> {
-        match self {
-            RunOutcome::Completed(_) => None,
-            RunOutcome::Failed(e) => Some(e.class()),
-            // A panic may be a poisoned environment (chaos, resource
-            // exhaustion); bounded retry decides whether it is sticky.
-            RunOutcome::Panicked { .. } => Some(ErrorClass::Transient),
-            RunOutcome::TimedOut => Some(ErrorClass::Permanent),
-        }
-    }
-
     /// Stable kind tag used in journals, artifacts, and renderings.
     #[must_use]
     fn kind(&self) -> &'static str {
@@ -285,7 +271,7 @@ impl ChaosPlan {
 }
 
 /// The supervision configuration for [`Campaign::run_supervised`] and
-/// [`Campaign::resume`].
+/// [`Campaign::resume`]; [`Campaign::run`] runs under the default one.
 #[derive(Debug, Clone, Default)]
 pub struct Supervision {
     /// Deterministic per-run cycle budget (`warmup + quantum` must not
@@ -307,7 +293,7 @@ pub struct Supervision {
 
 /// A run's final supervised disposition.
 #[derive(Debug)]
-enum Done {
+pub(crate) enum Done {
     Completed(SimStats),
     Quarantined(QuarantinedRun),
 }
@@ -355,7 +341,7 @@ impl Campaign {
         resume: bool,
     ) -> Result<CampaignReport, SimError> {
         self.preflight()?;
-        silence_supervised_panics();
+        silence_chaos_panics();
         let started = Instant::now();
         let mut slots: Vec<Option<Done>> = self.runs().iter().map(|_| None).collect();
 
@@ -368,16 +354,8 @@ impl Campaign {
                 } else {
                     (Journal::create(path, self)?, Vec::new())
                 };
-                for entry in replayed {
-                    match entry {
-                        JournalEntry::Completed { id, stats } => {
-                            slots[id] = Some(Done::Completed(stats));
-                        }
-                        JournalEntry::Quarantined(q) => {
-                            let id = q.id;
-                            slots[id] = Some(Done::Quarantined(q));
-                        }
-                    }
+                for (id, done) in replayed {
+                    slots[id] = Some(done);
                 }
                 Some(journal)
             }
@@ -450,13 +428,15 @@ fn supervise_one(run: &PlannedRun, id: usize, sup: &Supervision, worker: &Worker
     let max_attempts = sup.max_attempts.max(1);
     for attempt in 1..=max_attempts {
         let outcome = attempt_once(run, id, attempt, sup, worker);
-        let Some(class) = outcome.class() else {
-            let RunOutcome::Completed(stats) = outcome else {
-                unreachable!("only Completed classifies as None")
-            };
-            return Done::Completed(stats);
+        let transient = match outcome {
+            RunOutcome::Completed(stats) => return Done::Completed(stats),
+            RunOutcome::Failed(ref e) => e.is_transient(),
+            // A panic may be a poisoned environment (chaos, resource
+            // exhaustion); bounded retry decides whether it is sticky.
+            RunOutcome::Panicked { .. } => true,
+            RunOutcome::TimedOut => false,
         };
-        if class.is_transient() && attempt < max_attempts {
+        if transient && attempt < max_attempts {
             continue;
         }
         return Done::Quarantined(QuarantinedRun {
@@ -507,9 +487,9 @@ fn attempt_once(
     // a shared warm core is only ever cloned (an unwinding warm-up hands
     // its duty back), so nothing observable survives an unwind:
     // AssertUnwindSafe is sound.
-    SUPERVISED.with(|s| s.set(true));
+    CHAOS.with(|c| c.set(sup.chaos.is_some()));
     let caught = catch_unwind(AssertUnwindSafe(work));
-    SUPERVISED.with(|s| s.set(false));
+    CHAOS.with(|c| c.set(false));
     match caught {
         Ok(Ok(stats)) => RunOutcome::Completed(stats),
         Ok(Err(e)) => RunOutcome::Failed(e),
@@ -559,23 +539,5 @@ mod tests {
                 "permanent ids stick"
             );
         }
-    }
-
-    #[test]
-    fn outcome_lattice_classification() {
-        assert_eq!(RunOutcome::TimedOut.class(), Some(ErrorClass::Permanent));
-        assert_eq!(
-            RunOutcome::Panicked {
-                message: "x".into()
-            }
-            .class(),
-            Some(ErrorClass::Transient)
-        );
-        assert_eq!(
-            RunOutcome::Failed(SimError::NoWorkloads).class(),
-            Some(ErrorClass::Permanent)
-        );
-        assert_eq!(RunOutcome::Completed(SimStats::default()).class(), None);
-        assert_eq!(RunOutcome::TimedOut.kind(), "timed-out:cycles");
     }
 }

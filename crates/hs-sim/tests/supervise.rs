@@ -39,6 +39,8 @@ fn scratch(test: &str) -> PathBuf {
     path
 }
 
+/// `Campaign::run` is the supervised engine under the default supervision;
+/// its wrapper must add nothing to a clean report.
 #[test]
 fn supervision_without_faults_matches_the_plain_engine() {
     let campaign = matrix("clean");
@@ -49,7 +51,7 @@ fn supervision_without_faults_matches_the_plain_engine() {
     assert_eq!(
         plain.to_json(),
         supervised.to_json(),
-        "supervision off-path must be invisible"
+        "Campaign::run's wrapper must add nothing"
     );
     assert!(supervised.quarantined.is_empty());
 }
@@ -361,7 +363,7 @@ fn duplicate_labels_are_rejected_at_preflight() {
         panic!("expected DuplicateLabel, got {err}");
     };
     assert_eq!((label.as_str(), first, second), ("same", 0, 2));
-    // Both engines refuse it the same way.
+    // Both entry points refuse it the same way.
     assert!(matches!(
         campaign.run(1),
         Err(SimError::DuplicateLabel { .. })

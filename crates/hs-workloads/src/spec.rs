@@ -85,8 +85,8 @@ impl SpecWorkload {
 
     /// Whether this member is one of the deliberately hot benchmarks with
     /// an inherent power-density tendency (the paper's crafty & co.).
-    #[must_use]
-    pub fn has_power_density_problem(self) -> bool {
+    #[cfg(test)]
+    fn has_power_density_problem(self) -> bool {
         matches!(
             self,
             SpecWorkload::Art | SpecWorkload::Crafty | SpecWorkload::Gzip | SpecWorkload::Vortex

@@ -11,10 +11,10 @@
 # `campaign --list`, so a new experiment registered in hs-bench shows up
 # automatically (the old hardcoded array had drifted out of date).
 #
-# --resume is handed through to the campaign binary: a supervised
-# experiment replays `results/<name>.journal.jsonl` and executes only the
-# runs the journal is missing; the resumed artifact is byte-identical to
-# an uninterrupted one.
+# --resume is handed through to the campaign binary: an experiment
+# replays `results/<name>.journal.jsonl` and executes only the runs the
+# journal is missing; the resumed artifact is byte-identical to an
+# uninterrupted one.
 set -euo pipefail
 cd "$(dirname "$0")"
 BIN=target/release
@@ -62,7 +62,7 @@ extra_args=()
 [ -n "$jobs" ] && extra_args+=(--jobs "$jobs")
 [ -n "$resume" ] && extra_args+=(--resume)
 
-# A supervised experiment reports `quarantined: N` on stderr; surface it.
+# Every experiment reports `quarantined: N` on stderr; surface a nonzero N.
 quarantine_count() {
   sed -n 's/^ *quarantined: //p' "results/$1.log" | tail -1
 }

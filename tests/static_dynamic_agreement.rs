@@ -12,11 +12,11 @@
 //! For the malicious variants the argmax must match exactly (the attack
 //! pins the integer register file by construction).
 
-use hs_analyze::{analyze_with, steady_state_only, Verdict};
+use hs_analyze::Verdict;
 use hs_cpu::pipeline::FetchGate;
 use hs_cpu::{AccessMatrix, Cpu, ALL_RESOURCES};
 use hs_power::{resource_block, PowerModel};
-use hs_sim::admission::{analyzer_config, screen};
+use hs_sim::admission::screen;
 use hs_sim::SimConfig;
 use hs_thermal::{Block, ThermalNetwork, ALL_BLOCKS, NUM_BLOCKS};
 use hs_workloads::Workload;
@@ -173,15 +173,23 @@ spec_agreement_tests! {
 // averaging misses.
 // ---------------------------------------------------------------------------
 
-/// Screens `w` twice: with the pre-framework steady-state pass alone, and
-/// with the full default pass registry.
+/// Screens `w` and returns two verdicts: the steady-state pass's alone
+/// (the analyzer before the other passes existed) and the full analysis's.
+/// Each pass reads only the shared loop context and the program verdict is
+/// the join of all diagnostics, so the join of the `steady-state`
+/// diagnostics is the verdict that pass alone would give.
 fn old_and_new_verdicts(w: Workload) -> (Verdict, Verdict) {
     let cfg = SimConfig::scaled(50.0);
-    let acfg = analyzer_config(&cfg);
     let program = w.program_with(&cfg.mem, cfg.time_scale);
-    let old = analyze_with(&program, &acfg, &steady_state_only()).verdict;
-    let new = screen(&program, &cfg).verdict;
-    (old, new)
+    let analysis = screen(&program, &cfg);
+    let old = analysis
+        .diagnostics
+        .iter()
+        .filter(|d| d.pass == "steady-state")
+        .map(|d| d.verdict)
+        .max()
+        .unwrap_or(Verdict::Benign);
+    (old, analysis.verdict)
 }
 
 #[test]
