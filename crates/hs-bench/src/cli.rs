@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! campaign [--list] [--only a,b,c] [--jobs N] [--mode cycle|interval]
-//!          [--json PATH] [--check PATH] [--resume] [--retries N]
-//!          [--journal PATH] [--abort-after K]
+//!          [--json PATH] [--check PATH] [--explain] [--verdicts PATH]
+//!          [--resume] [--journal PATH] [--abort-after K]
 //! ```
 //!
 //! * `--list` — print the experiment names, one per line (consumed by
@@ -35,17 +35,16 @@
 //!
 //! ## Supervision flags
 //!
-//! Every experiment runs on the supervised engine, under its registry
-//! entry's supervision (only `chaos` declares one) or the default one,
-//! with these flags layered on top. A run journal is written only when
-//! the experiment declares a supervision or one of these flags is given,
-//! so a paper experiment run without them writes none.
+//! Every experiment runs on the supervised engine, which runs each run
+//! once and quarantines one that panics or fails. A run journal is written
+//! only when one of these flags is given, so an experiment run without
+//! them writes none.
 //!
 //! * `--resume` — replay the experiment's journal and execute only the
 //!   runs it is missing (crash recovery; the resumed artifact is
-//!   byte-identical to an uninterrupted one).
-//! * `--retries N` — attempts per run for transient failures, started at
-//!   once (default from the experiment's supervision, else 1).
+//!   byte-identical to an uninterrupted one). A journal written under
+//!   another configuration (`HS_TIME_SCALE`, `HS_SUBSET`, `--mode`, ...)
+//!   is refused with exit code 7.
 //! * `--journal PATH` — run journal location. Default:
 //!   the artifact path with a `.journal.jsonl` extension under `--json`,
 //!   else `<name>.journal.jsonl`. With several experiments selected,
@@ -62,16 +61,16 @@
 //! | 2 | usage error (bad flag or value) |
 //! | 3 | invalid configuration ([`SimError::Config`]) |
 //! | 4 | invalid run matrix (no/too many workloads, runaway combination, duplicate label) |
-//! | 6 | interrupted (`--abort-after`) or aborted campaign (quarantined runs its renderer needs) |
-//! | 7 | unusable run journal |
+//! | 6 | interrupted (`--abort-after`), or a run was quarantined and the experiment not rendered |
+//! | 7 | unusable run journal (corrupt, or written by another campaign or configuration) |
 //!
 //! Rendered experiment text goes to stdout; progress and timing go to
 //! stderr, so stdout stays byte-deterministic. Every experiment prints a
-//! `quarantined: N` stderr line. When runs of an experiment that declares
-//! no supervision are quarantined (a run panicked or failed, or a resumed
-//! journal recorded one), its `--json` artifact (which records the
-//! quarantine) is still written, but it is not rendered: `campaign` prints
-//! one stderr line per quarantined run and exits 6.
+//! `quarantined: N` stderr line. When runs of an experiment are
+//! quarantined (a run panicked or failed, or a resumed journal recorded
+//! one), its `--json` artifact (which records the quarantine) is still
+//! written, but it is not rendered: `campaign` prints one stderr line per
+//! quarantined run and exits 6.
 
 use crate::experiments::{find, Experiment, EXPERIMENTS};
 use hs_sim::admission::check_analysis_artifact;
@@ -132,8 +131,6 @@ pub struct Options {
     pub verdicts: Option<PathBuf>,
     /// Resume from each experiment's journal instead of starting fresh.
     pub resume: bool,
-    /// Override: attempts per run for transient failures.
-    pub retries: Option<u32>,
     /// Override: journal path (directory when several are selected).
     pub journal: Option<PathBuf>,
     /// Crash-testing hook: abort after this many journaled outcomes.
@@ -206,18 +203,6 @@ impl Options {
                     opts.verdicts = Some(PathBuf::from(v));
                 }
                 "--resume" => opts.resume = true,
-                "--retries" => {
-                    let v = it.next().ok_or("--retries needs a number")?;
-                    let n: u32 = v
-                        .parse()
-                        .map_err(|_| format!("--retries: `{v}` is not a number"))?;
-                    if n == 0 {
-                        return Err(
-                            "--retries must be at least 1 (the first attempt counts)".into()
-                        );
-                    }
-                    opts.retries = Some(n);
-                }
                 "--journal" => {
                     let v = it.next().ok_or("--journal needs a path")?;
                     opts.journal = Some(PathBuf::from(v));
@@ -235,7 +220,7 @@ impl Options {
                 "--help" | "-h" => {
                     return Err("usage: campaign [--list] [--only a,b,c] [--jobs N] \
                          [--mode cycle|interval] [--json PATH] [--check PATH] \
-                         [--explain] [--verdicts PATH] [--resume] [--retries N] \
+                         [--explain] [--verdicts PATH] [--resume] \
                          [--journal PATH] [--abort-after K]"
                         .into())
                 }
@@ -274,10 +259,7 @@ impl Options {
 
     /// Whether any supervision flag is given.
     fn wants_supervision(&self) -> bool {
-        self.resume
-            || self.retries.is_some()
-            || self.journal.is_some()
-            || self.abort_after.is_some()
+        self.resume || self.journal.is_some() || self.abort_after.is_some()
     }
 
     /// Where `name`'s journal lives: `--journal` (a directory when several
@@ -297,27 +279,15 @@ impl Options {
         }
     }
 
-    /// The supervision for one experiment: its registry default, else
-    /// [`Supervision::default()`], with the CLI overrides layered on top.
-    /// It journals only when the experiment declares a supervision or a
+    /// The supervision for experiment `name`: it journals only when a
     /// supervision flag is given.
-    fn supervision_for(
-        &self,
-        e: &Experiment,
-        cfg: &hs_sim::SimConfig,
-        selected: usize,
-    ) -> Supervision {
-        let mut sup = e.supervision.map_or_else(Supervision::default, |f| f(cfg));
-        if let Some(n) = self.retries {
-            sup.max_attempts = n;
+    fn supervision_for(&self, name: &str, selected: usize) -> Supervision {
+        Supervision {
+            journal: self
+                .wants_supervision()
+                .then(|| self.journal_path(name, selected)),
+            abort_after: self.abort_after,
         }
-        if let Some(k) = self.abort_after {
-            sup.abort_after = Some(k);
-        }
-        if e.supervision.is_some() || self.wants_supervision() {
-            sup.journal = Some(self.journal_path(e.name, selected));
-        }
-        sup
     }
 }
 
@@ -364,21 +334,19 @@ fn artifact_path(json: &Path, name: &str, selected: usize) -> PathBuf {
     }
 }
 
-/// Refuses to render `e`'s report when runs of it were quarantined and `e`
-/// declares no supervision: its renderer reads every run it declared.
-/// `chaos` declares one and renders its own quarantine.
+/// Refuses to render experiment `name`'s report when runs of it were
+/// quarantined: its renderer reads every run it declared.
 ///
 /// # Errors
 ///
 /// An aborted-campaign [`Failure`] (exit code 6) with one line per
 /// quarantined run: id, label, kind and detail.
-fn renderable(e: &Experiment, report: &CampaignReport) -> Result<(), Failure> {
-    if e.supervision.is_some() || report.quarantined.is_empty() {
+fn renderable(name: &str, report: &CampaignReport) -> Result<(), Failure> {
+    if report.quarantined.is_empty() {
         return Ok(());
     }
     let mut message = format!(
-        "{}: not rendered, {} of its runs were quarantined",
-        e.name,
+        "{name}: not rendered, {} of its runs were quarantined",
         report.quarantined.len()
     );
     for q in &report.quarantined {
@@ -445,7 +413,7 @@ pub fn run(args: impl IntoIterator<Item = String>) -> Result<(), Failure> {
         eprintln!("[{}/{}] {} ({jobs} jobs)", i + 1, selected.len(), e.name);
         let campaign = (e.build)(&cfg);
         let started = std::time::Instant::now();
-        let sup = opts.supervision_for(e, &cfg, selected.len());
+        let sup = opts.supervision_for(e.name, selected.len());
         if let Some(dir) = sup.journal.as_ref().and_then(|p| p.parent()) {
             if !dir.as_os_str().is_empty() {
                 std::fs::create_dir_all(dir)
@@ -482,7 +450,7 @@ pub fn run(args: impl IntoIterator<Item = String>) -> Result<(), Failure> {
                 .map_err(|err| format!("cannot write {}: {err}", path.display()))?;
             eprintln!("      wrote {}", path.display());
         }
-        renderable(e, &report)?;
+        renderable(e.name, &report)?;
         let mut out = stdout.lock();
         (e.render)(&cfg, &report, &mut out).map_err(|err| format!("{}: {err}", e.name))?;
         if let Some(build_artifact) = e.artifact {
@@ -639,81 +607,67 @@ mod tests {
 
     #[test]
     fn supervision_flags_parse_and_validate() {
-        let opts = parse(&[
-            "--resume",
-            "--retries",
-            "3",
-            "--journal",
-            "j.jsonl",
-            "--abort-after",
-            "4",
-        ])
-        .unwrap();
+        let opts = parse(&["--resume", "--journal", "j.jsonl", "--abort-after", "4"]).unwrap();
         assert!(opts.resume);
-        assert_eq!(opts.retries, Some(3));
         assert_eq!(opts.journal, Some(PathBuf::from("j.jsonl")));
         assert_eq!(opts.abort_after, Some(4));
         assert!(opts.wants_supervision());
         assert!(!parse(&[]).unwrap().wants_supervision());
-        assert!(parse(&["--retries", "0"]).is_err());
         assert!(parse(&["--abort-after", "0"]).is_err());
     }
 
     #[test]
     fn journal_paths_follow_the_artifact() {
-        let mut opts = parse(&["--json", "results/chaos.json"]).unwrap();
+        let mut opts = parse(&["--json", "results/fig4.json"]).unwrap();
         assert_eq!(
-            opts.journal_path("chaos", 1),
-            PathBuf::from("results/chaos.journal.jsonl")
+            opts.journal_path("fig4", 1),
+            PathBuf::from("results/fig4.journal.jsonl")
         );
         opts.json = Some(PathBuf::from("results"));
         assert_eq!(
-            opts.journal_path("chaos", 3),
-            PathBuf::from("results/chaos.journal.jsonl")
+            opts.journal_path("fig4", 3),
+            PathBuf::from("results/fig4.journal.jsonl")
         );
         opts.json = None;
         assert_eq!(
-            opts.journal_path("chaos", 1),
-            PathBuf::from("chaos.journal.jsonl")
+            opts.journal_path("fig4", 1),
+            PathBuf::from("fig4.journal.jsonl")
         );
         opts.journal = Some(PathBuf::from("/tmp/j"));
-        assert_eq!(opts.journal_path("chaos", 1), PathBuf::from("/tmp/j"));
+        assert_eq!(opts.journal_path("fig4", 1), PathBuf::from("/tmp/j"));
         assert_eq!(
-            opts.journal_path("chaos", 2),
-            PathBuf::from("/tmp/j/chaos.journal.jsonl")
+            opts.journal_path("fig4", 2),
+            PathBuf::from("/tmp/j/fig4.journal.jsonl")
         );
     }
 
     #[test]
-    fn registry_supervision_drives_the_engine_choice() {
-        let cfg = crate::config();
-        let opts = parse(&[]).unwrap();
-        let chaos = find("chaos").unwrap();
-        let fig3 = find("fig3").unwrap();
-        let sup = opts.supervision_for(chaos, &cfg, 1);
-        assert_eq!(sup.max_attempts, 3, "registry default");
-        assert!(sup.journal.is_some(), "a declared supervision journals");
-        assert!(
-            opts.supervision_for(fig3, &cfg, 1).journal.is_none(),
-            "paper experiments journal nothing without a flag"
-        );
-        // CLI overrides layer on top of the registry default.
-        let opts = parse(&["--retries", "7"]).unwrap();
-        assert_eq!(opts.supervision_for(chaos, &cfg, 1).max_attempts, 7);
-        let sup = opts.supervision_for(fig3, &cfg, 1);
-        assert_eq!(sup.max_attempts, 7);
-        assert!(sup.journal.is_some(), "a flag makes any experiment journal");
+    fn only_a_supervision_flag_makes_an_experiment_journal() {
+        let sup = parse(&[]).unwrap().supervision_for("fig3", 1);
+        assert!(sup.journal.is_none(), "no flag, no journal");
+        assert_eq!(sup.abort_after, None);
+        for flags in [
+            &["--resume"][..],
+            &["--journal", "j.jsonl"],
+            &["--abort-after", "3"],
+        ] {
+            let sup = parse(flags).unwrap().supervision_for("fig3", 1);
+            assert!(sup.journal.is_some(), "{flags:?} journals");
+        }
+        let sup = parse(&["--abort-after", "3"])
+            .unwrap()
+            .supervision_for("fig3", 1);
+        assert_eq!(sup.abort_after, Some(3));
     }
 
     #[test]
-    fn quarantined_runs_abort_an_unsupervised_experiment_unrendered() {
+    fn quarantined_runs_abort_an_experiment_unrendered() {
         let report = CampaignReport {
             name: "fig3".into(),
             runs: Vec::new(),
             quarantined: vec![hs_sim::QuarantinedRun {
                 id: 0,
                 label: "gcc".into(),
-                attempts: 1,
                 kind: "failed".into(),
                 detail: "replayed from an earlier run".into(),
             }],
@@ -721,7 +675,7 @@ mod tests {
             warmups: 0,
             wall: Duration::ZERO,
         };
-        let failure = renderable(find("fig3").unwrap(), &report).unwrap_err();
+        let failure = renderable("fig3", &report).unwrap_err();
         assert_eq!(failure.code, 6);
         let lines: Vec<&str> = failure.message.lines().collect();
         assert_eq!(lines.len(), 2, "{}", failure.message);
@@ -729,14 +683,12 @@ mod tests {
             lines[1],
             "  run 0 `gcc`: failed: replayed from an earlier run"
         );
-        // `chaos` declares its supervision and renders its quarantine.
-        assert!(renderable(find("chaos").unwrap(), &report).is_ok());
         // Nothing quarantined: render as usual.
         let clean = CampaignReport {
             quarantined: Vec::new(),
             ..report
         };
-        assert!(renderable(find("fig3").unwrap(), &clean).is_ok());
+        assert!(renderable("fig3", &clean).is_ok());
     }
 
     #[test]

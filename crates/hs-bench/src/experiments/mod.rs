@@ -14,12 +14,11 @@
 //!   empty matrix and do their own (cheap or streaming) work at render
 //!   time.
 
-use hs_sim::{Campaign, CampaignReport, HeatSink, PolicyKind, RunSpec, SimConfig, Supervision};
+use hs_sim::{Campaign, CampaignReport, HeatSink, PolicyKind, RunSpec, SimConfig};
 use hs_workloads::Workload;
 use std::io::{self, Write};
 
 mod analyze;
-mod chaos;
 mod fastfwd;
 mod fig3;
 mod fig4;
@@ -52,25 +51,16 @@ pub struct Experiment {
     /// output is not made of quantum runs (`analyze`) provide their own
     /// machine-readable document.
     pub artifact: Option<fn(&SimConfig) -> String>,
-    /// Default supervision for this experiment. `None` (every paper
-    /// experiment) runs under `Supervision::default()` and writes no
-    /// journal; `Some` is used by `chaos`, which injects faults, retries
-    /// them and journals its runs. CLI supervision flags (`--resume`,
-    /// `--retries`, `--journal`, `--abort-after`) layer on top of either.
-    /// An experiment with a supervision renders its own quarantine; one
-    /// without is not rendered when a run is quarantined.
-    pub supervision: Option<fn(&SimConfig) -> Supervision>,
 }
 
 /// Every experiment, in the canonical `run_experiments.sh` order.
-pub static EXPERIMENTS: [Experiment; 17] = [
+pub static EXPERIMENTS: [Experiment; 16] = [
     Experiment {
         name: "table1",
         title: "Table 1: system parameters",
         build: table1::build,
         render: table1::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "listings",
@@ -78,7 +68,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: listings::build,
         render: listings::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "fig3",
@@ -86,7 +75,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: fig3::build,
         render: fig3::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "fig4",
@@ -94,7 +82,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: fig4::build,
         render: fig4::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "fig5",
@@ -102,7 +89,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: fig5::build,
         render: fig5::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "fig6",
@@ -110,7 +96,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: fig6::build,
         render: fig6::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "sweep_packaging",
@@ -118,7 +103,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: sweep_packaging::build,
         render: sweep_packaging::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "sweep_thresholds",
@@ -126,7 +110,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: sweep_thresholds::build,
         render: sweep_thresholds::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "spec_pairs",
@@ -134,7 +117,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: spec_pairs::build,
         render: spec_pairs::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "rate_cap_fails",
@@ -142,7 +124,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: rate_cap_fails::build,
         render: rate_cap_fails::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "sweep_monitor",
@@ -150,7 +131,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: sweep_monitor::build,
         render: sweep_monitor::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "sweep_fetch_policy",
@@ -158,7 +138,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: sweep_fetch_policy::build,
         render: sweep_fetch_policy::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "sweep_faults",
@@ -166,7 +145,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: sweep_faults::build,
         render: sweep_faults::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "trace",
@@ -174,7 +152,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: trace::build,
         render: trace::render,
         artifact: None,
-        supervision: None,
     },
     Experiment {
         name: "analyze",
@@ -182,7 +159,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: analyze::build,
         render: analyze::render,
         artifact: Some(analyze::artifact),
-        supervision: None,
     },
     Experiment {
         name: "fastfwd",
@@ -190,15 +166,6 @@ pub static EXPERIMENTS: [Experiment; 17] = [
         build: fastfwd::build,
         render: fastfwd::render,
         artifact: None,
-        supervision: None,
-    },
-    Experiment {
-        name: "chaos",
-        title: "Supervision: injected faults, retries, quarantine, resume",
-        build: chaos::build,
-        render: chaos::render,
-        artifact: None,
-        supervision: Some(chaos::supervision),
     },
 ];
 

@@ -355,7 +355,7 @@ pub struct CampaignReport {
     pub name: String,
     /// Per-run records, ordered by run id.
     pub runs: Vec<RunRecord>,
-    /// Runs the supervisor gave up on, ordered by run id.
+    /// Runs that panicked or failed, ordered by run id.
     /// [`Campaign::run`] turns a non-empty quarantine into an error.
     pub quarantined: Vec<QuarantinedRun>,
     /// Worker threads used (accounting only — not serialized).
@@ -640,7 +640,6 @@ mod tests {
         QuarantinedRun {
             id,
             label: label.into(),
-            attempts: 1,
             kind: kind.into(),
             detail: detail.into(),
         }

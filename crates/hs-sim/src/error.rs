@@ -51,16 +51,18 @@ pub enum SimError {
         /// Stable id of the duplicate.
         second: usize,
     },
-    /// The environment — not the run's specification — failed: a worker
-    /// was lost, a run panicked, a campaign was aborted mid-flight,
-    /// injected chaos fired. The one transient variant
-    /// ([`SimError::is_transient`]): supervisors retry it.
+    /// A campaign did not finish: it was aborted mid-flight by
+    /// [`Supervision::abort_after`](crate::Supervision::abort_after), or
+    /// (as the cause of an [`SimError::InvalidRun`] from
+    /// [`Campaign::run`](crate::Campaign::run)) one of its runs panicked or
+    /// failed.
     Interrupted {
         /// What the environment did.
         what: String,
     },
-    /// A run journal could not be used: unreadable, corrupt beyond its
-    /// (tolerated) torn final line, or written by a different campaign.
+    /// A run journal could not be used: unreadable, corrupt in a complete
+    /// line, or written by a different campaign or another configuration
+    /// of this one.
     Journal {
         /// What is wrong with the journal.
         detail: String,
@@ -96,28 +98,6 @@ impl fmt::Display for SimError {
             ),
             SimError::Interrupted { what } => write!(f, "interrupted: {what}"),
             SimError::Journal { detail } => write!(f, "run journal unusable: {detail}"),
-        }
-    }
-}
-
-impl SimError {
-    /// Whether retrying the same run may succeed.
-    ///
-    /// Everything that is a pure function of the run's specification is
-    /// permanent: re-executing the spec reproduces it. Only
-    /// [`SimError::Interrupted`] — the environment failing, not the spec —
-    /// is transient. [`SimError::InvalidRun`] answers as its cause.
-    #[must_use]
-    pub fn is_transient(&self) -> bool {
-        match self {
-            SimError::Interrupted { .. } => true,
-            SimError::InvalidRun { cause, .. } => cause.is_transient(),
-            SimError::Config(_)
-            | SimError::NoWorkloads
-            | SimError::TooManyWorkloads { .. }
-            | SimError::RunawayCombination
-            | SimError::DuplicateLabel { .. }
-            | SimError::Journal { .. } => false,
         }
     }
 }
@@ -167,23 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn classification_splits_spec_from_environment() {
-        assert!(!SimError::NoWorkloads.is_transient());
-        assert!(!SimError::RunawayCombination.is_transient());
-        let e = SimError::Interrupted {
-            what: "worker lost".into(),
-        };
-        assert!(e.is_transient());
-        // InvalidRun inherits from its cause.
-        let wrapped = SimError::InvalidRun {
-            id: 0,
-            label: "x".into(),
-            cause: Box::new(e),
-        };
-        assert!(wrapped.is_transient());
-    }
-
-    #[test]
     fn duplicate_label_names_both_runs() {
         let e = SimError::DuplicateLabel {
             label: "gcc/sedation".into(),
@@ -192,7 +155,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("#2") && s.contains("#5") && s.contains("gcc/sedation"));
-        assert!(!e.is_transient());
     }
 
     #[test]

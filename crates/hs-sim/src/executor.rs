@@ -21,6 +21,30 @@ use hs_workloads::Workload;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
+#[cfg(test)]
+thread_local! {
+    /// The run [`panicking_run`] plants a panic in; `execute` reads it on
+    /// its calling thread.
+    static PLANTED: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Calls `f` with run `id` of every execution it starts set to panic once
+/// the run took its start: inside its warm-up when it holds its group's
+/// warming duty, else before it simulates.
+#[cfg(test)]
+pub(crate) fn panicking_run<T>(id: usize, f: impl FnOnce() -> T) -> T {
+    PLANTED.with(|p| p.set(Some(id)));
+    let out = f();
+    PLANTED.with(|p| p.set(None));
+    out
+}
+
+/// The message of the panic [`panicking_run`] plants in run `id`.
+#[cfg(test)]
+pub(crate) fn planted_panic_message(id: usize) -> String {
+    format!("planted panic in run {id}")
+}
+
 /// Everything a run's warm-up reads: runs with equal keys leave
 /// bit-identical warm cores. Policy, sink, thresholds, sensors, faults,
 /// admission screening and execution mode are absent on purpose — warm-up
@@ -87,21 +111,22 @@ pub(crate) fn execute<T: Send>(
         group_of[id] = g;
     }
     let shared = Shared {
-        table: Mutex::new(Table {
-            groups: members
+        groups: Mutex::new(
+            members
                 .iter()
                 .map(|m| Group {
                     need: m.len(),
                     warm: Warm::Cold,
                 })
                 .collect(),
-            started: vec![false; runs.len()],
-        }),
+        ),
         changed: Condvar::new(),
         group_of,
         warmups: AtomicUsize::new(0),
         #[cfg(test)]
         waiting: AtomicUsize::new(0),
+        #[cfg(test)]
+        planted: PLANTED.with(std::cell::Cell::get),
     };
     let order = members.concat();
     let cursor = AtomicUsize::new(0);
@@ -117,7 +142,6 @@ pub(crate) fn execute<T: Send>(
                 break;
             };
             let out = work(id, &handle);
-            shared.finish(id);
             if stop(&out) {
                 stopped.store(true, Ordering::SeqCst);
             }
@@ -157,11 +181,16 @@ impl Worker<'_> {
     /// warms that core first when no run of the group has.
     pub(crate) fn run(&self, id: usize, spec: &RunSpec) -> Result<SimStats, SimError> {
         match self.shared.start(id, self.index) {
-            Start::Warm(core) => spec
-                .simulator(Some(Arc::unwrap_or_clone(core)))
-                .map(|mut sim| sim.run_measured(unobserved)),
+            Start::Warm(core) => {
+                #[cfg(test)]
+                self.shared.panic_if_planted(id);
+                spec.simulator(Some(Arc::unwrap_or_clone(core)))
+                    .map(|mut sim| sim.run_measured(unobserved))
+            }
             Start::Cold(ticket) => spec.simulator(None).map(|mut sim| {
                 sim.warm_up();
+                #[cfg(test)]
+                self.shared.panic_if_planted(id);
                 ticket.publish(sim.core());
                 sim.run_measured(unobserved)
             }),
@@ -171,28 +200,25 @@ impl Worker<'_> {
 
 /// The warm-up groups of one execution.
 struct Shared {
-    table: Mutex<Table>,
+    /// By group index.
+    groups: Mutex<Vec<Group>>,
     /// Signalled on every change of a group's [`Warm`] state.
     changed: Condvar,
     /// Each run id's group (`usize::MAX` for runs not executed).
     group_of: Vec<usize>,
     warmups: AtomicUsize,
     /// Runs in [`Shared::wait`], so a test can hold a warming duty until
-    /// another run waits for it. Counted under the table's lock, which the
+    /// another run waits for it. Counted under the groups' lock, which the
     /// waiter releases only once it waits.
     #[cfg(test)]
     waiting: AtomicUsize,
-}
-
-struct Table {
-    groups: Vec<Group>,
-    /// By run id: whether the run has started from a warm core (its own or
-    /// a clone). Later attempts of a started run no longer count in `need`.
-    started: Vec<bool>,
+    /// The run [`panicking_run`] planted a panic in.
+    #[cfg(test)]
+    planted: Option<usize>,
 }
 
 struct Group {
-    /// Runs of the group that have neither started nor finished.
+    /// Runs of the group that have not started.
     need: usize,
     warm: Warm,
 }
@@ -215,40 +241,38 @@ enum Start<'a> {
 }
 
 impl Shared {
-    /// The table. Nothing done under the lock panics, so it is never
+    /// The groups. Nothing done under the lock panics, so it is never
     /// poisoned in practice; recovering the guard anyway keeps
     /// `Ticket::drop`, which runs during unwinding, panic-free.
-    fn lock(&self) -> MutexGuard<'_, Table> {
-        self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Vec<Group>> {
+        self.groups.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Waits for the next change of any group.
-    fn wait<'a>(&self, table: MutexGuard<'a, Table>) -> MutexGuard<'a, Table> {
+    fn wait<'a>(&self, groups: MutexGuard<'a, Vec<Group>>) -> MutexGuard<'a, Vec<Group>> {
         #[cfg(test)]
         self.waiting.fetch_add(1, Ordering::SeqCst);
-        let table = self
+        let groups = self
             .changed
-            .wait(table)
+            .wait(groups)
             .unwrap_or_else(PoisonError::into_inner);
         #[cfg(test)]
         self.waiting.fetch_sub(1, Ordering::SeqCst);
-        table
+        groups
     }
 
     /// How run `id` starts: from the group's published core, or — when
     /// there is none and nobody is warming one — by warming it. Waits
-    /// while another run warms the group's core.
+    /// while another run warms the group's core. Every run handed out
+    /// starts exactly once.
     fn start(&self, id: usize, worker: usize) -> Start<'_> {
         let g = self.group_of[id];
-        let mut table = self.lock();
-        while matches!(table.groups[g].warm, Warm::Warming) {
-            table = self.wait(table);
+        let mut groups = self.lock();
+        while matches!(groups[g].warm, Warm::Warming) {
+            groups = self.wait(groups);
         }
-        let first = !std::mem::replace(&mut table.started[id], true);
-        let group = &mut table.groups[g];
-        if first {
-            group.need -= 1;
-        }
+        let group = &mut groups[g];
+        group.need -= 1;
         match &group.warm {
             Warm::Ready { core, .. } if group.need > 0 => Start::Warm(Arc::clone(core)),
             Warm::Ready { .. } => {
@@ -273,19 +297,10 @@ impl Shared {
         }
     }
 
-    /// Run `id` reached its final outcome. If it never started, its group
-    /// needs one core fewer; the last need gone drops the published core.
-    fn finish(&self, id: usize) {
-        let mut table = self.lock();
-        if std::mem::replace(&mut table.started[id], true) {
-            return;
-        }
-        let group = &mut table.groups[self.group_of[id]];
-        group.need -= 1;
-        if group.need == 0 && matches!(group.warm, Warm::Ready { .. }) {
-            group.warm = Warm::Cold;
-            self.changed.notify_all();
-        }
+    /// Panics when run `id` is the one [`panicking_run`] planted.
+    #[cfg(test)]
+    fn panic_if_planted(&self, id: usize) {
+        assert!(self.planted != Some(id), "{}", planted_panic_message(id));
     }
 }
 
@@ -307,17 +322,17 @@ impl Ticket<'_> {
     fn publish(mut self, core: &Cpu) {
         let shared = self.shared;
         shared.warmups.fetch_add(1, Ordering::Relaxed);
-        let mut table = shared.lock();
-        while table.groups[self.group].need > 0 && table.owns_core(self.worker) {
-            table = shared.wait(table);
+        let mut groups = shared.lock();
+        while groups[self.group].need > 0 && owns_core(&groups, self.worker) {
+            groups = shared.wait(groups);
         }
-        if table.groups[self.group].need == 0 {
+        if groups[self.group].need == 0 {
             return;
         }
-        drop(table);
+        drop(groups);
         let core = Arc::new(core.clone());
-        let mut table = shared.lock();
-        let group = &mut table.groups[self.group];
+        let mut groups = shared.lock();
+        let group = &mut groups[self.group];
         if group.need > 0 {
             group.warm = Warm::Ready {
                 core,
@@ -332,18 +347,17 @@ impl Ticket<'_> {
 impl Drop for Ticket<'_> {
     fn drop(&mut self) {
         if !self.published {
-            self.shared.lock().groups[self.group].warm = Warm::Cold;
+            self.shared.lock()[self.group].warm = Warm::Cold;
             self.shared.changed.notify_all();
         }
     }
 }
 
-impl Table {
-    fn owns_core(&self, worker: usize) -> bool {
-        self.groups
-            .iter()
-            .any(|g| matches!(g.warm, Warm::Ready { owner, .. } if owner == worker))
-    }
+/// Whether `worker` published a core some group still holds.
+fn owns_core(groups: &[Group], worker: usize) -> bool {
+    groups
+        .iter()
+        .any(|g| matches!(g.warm, Warm::Ready { owner, .. } if owner == worker))
 }
 
 #[cfg(test)]

@@ -5,22 +5,28 @@
 //! [`Supervision::journal`](crate::Supervision) and replayed by
 //! [`Campaign::resume`](crate::Campaign::resume).
 //!
-//! ## Format (version 1)
+//! ## Format (version 2)
 //!
 //! ```text
-//! {"journal":"chaos","format":1,"planned":10}                       header
+//! {"journal":"fig3","format":2,"planned":4,"pin":"1f0c…"}           header
 //! {"id":0,"label":"…","outcome":"completed","stats":{…}}            per run
-//! {"id":2,"label":"…","outcome":"quarantined","attempts":3,"kind":"panicked","detail":"…"}
+//! {"id":2,"label":"…","outcome":"quarantined","kind":"panicked","detail":"…"}
 //! ```
 //!
-//! Every record is written and flushed as one line before the outcome is
-//! considered durable, so a crash can lose at most the line being written.
-//! The loader therefore **tolerates a torn final line** (a crash artifact)
-//! but treats unparseable text anywhere else as corruption
-//! ([`SimError::Journal`]). The header pins the campaign's name and
-//! planned run count; resuming with a journal written by a different
-//! campaign is rejected, and every replayed record must match the label
-//! the campaign declares for that run id.
+//! The header pins the campaign: its name, its planned run count, and
+//! `pin`, a 64-bit FNV-1a digest of every run's label and `RunSpec` (their
+//! `Debug` text, in run-id order). A journal whose header differs — another
+//! campaign, or this one at another time scale, mode or subset — is refused
+//! ([`SimError::Journal`]), and every replayed record must carry the label
+//! the campaign declares for its run id. A format-1 journal has no pin, so
+//! it is refused too.
+//!
+//! A line is durable only if it ends in `\n`: every record is written and
+//! flushed as one line, newline included, so a crash can leave at most one
+//! torn line, at the end. Before appending, resume truncates the file after
+//! its last newline, so torn bytes never prefix a new record (the run they
+//! described re-executes); when no complete header line is left, it starts
+//! a fresh journal. Unparseable text in a complete line is corruption.
 //!
 //! Journal *line order* is completion order — nondeterministic under a
 //! parallel pool. That is fine: replay keys records by stable run id, and
@@ -37,6 +43,9 @@ use std::io::Write;
 use std::path::Path;
 use std::sync::Mutex;
 
+/// The journal format [`header`] writes and [`replay`] accepts.
+const FORMAT: u64 = 2;
+
 /// The append side of a run journal.
 ///
 /// Appends are serialized through a mutex and flushed per line. Write
@@ -52,7 +61,7 @@ pub(crate) struct Journal {
 impl Journal {
     /// Creates (truncating) a fresh journal and writes the header.
     pub(crate) fn create(path: &Path, campaign: &Campaign) -> Result<Journal, SimError> {
-        let file = File::create(path).map_err(|e| io_err(path, &e))?;
+        let file = File::create(path).map_err(|e| unusable(path, e))?;
         let journal = Journal {
             file: Mutex::new(file),
             error: Mutex::new(None),
@@ -64,23 +73,34 @@ impl Journal {
     }
 
     /// Opens an existing journal for resume — validating its header
-    /// against `campaign` and replaying its records as `(run id, outcome)`
-    /// pairs — or creates a fresh one if `path` does not exist.
+    /// against `campaign`, replaying its durable records as `(run id,
+    /// outcome)` pairs and truncating the torn tail after its last newline
+    /// — or creates a fresh one if `path` does not exist or holds no
+    /// complete header line.
     pub(crate) fn open_or_create(
         path: &Path,
         campaign: &Campaign,
     ) -> Result<(Journal, Vec<(usize, Done)>), SimError> {
-        if !path.exists() {
+        let bytes = match std::fs::read(path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            read => read.map_err(|e| unusable(path, e))?,
+        };
+        let durable = bytes
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |nl| nl + 1);
+        if durable == 0 {
             return Ok((Journal::create(path, campaign)?, Vec::new()));
         }
-        let text = std::fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
-        let entries = replay(&text, campaign).map_err(|detail| SimError::Journal {
-            detail: format!("{}: {detail}", path.display()),
-        })?;
+        let text = std::str::from_utf8(&bytes[..durable])
+            .map_err(|e| unusable(path, format!("not UTF-8: {e}")))?;
+        let entries = replay(text, campaign).map_err(|detail| unusable(path, detail))?;
         let file = OpenOptions::new()
             .append(true)
             .open(path)
-            .map_err(|e| io_err(path, &e))?;
+            .map_err(|e| unusable(path, e))?;
+        file.set_len(durable as u64)
+            .map_err(|e| unusable(path, e))?;
         Ok((
             Journal {
                 file: Mutex::new(file),
@@ -143,25 +163,37 @@ impl Journal {
 fn header(campaign: &Campaign) -> Json {
     Json::Obj(vec![
         ("journal".into(), Json::Str(campaign.name().to_string())),
-        ("format".into(), Json::U64(1)),
+        ("format".into(), Json::U64(FORMAT)),
         ("planned".into(), Json::U64(campaign.len() as u64)),
+        ("pin".into(), Json::Str(pin(campaign))),
     ])
 }
 
-fn io_err(path: &Path, e: &std::io::Error) -> SimError {
+/// 64-bit FNV-1a over every run's label and `RunSpec` `Debug` text, in
+/// run-id order, as 16 hex digits.
+fn pin(campaign: &Campaign) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for run in campaign.runs() {
+        for byte in format!("{:?} {:?}\n", run.label, run.spec).bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    format!("{hash:016x}")
+}
+
+fn unusable(path: &Path, detail: impl std::fmt::Display) -> SimError {
     SimError::Journal {
-        detail: format!("{}: {e}", path.display()),
+        detail: format!("{}: {detail}", path.display()),
     }
 }
 
-/// Parses and validates a journal body against the campaign it claims to
-/// belong to. Tolerates exactly one unparseable line, and only at the end
-/// of the file (a torn final write); anything else is corruption.
+/// Parses and validates the durable lines of a journal (each one ended by
+/// a newline, the first the header) against the campaign it claims to
+/// belong to.
 fn replay(text: &str, campaign: &Campaign) -> Result<Vec<(usize, Done)>, String> {
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let Some((&head, body)) = lines.split_first() else {
-        return Err("empty journal (missing header)".into());
-    };
+    let mut lines = text.lines();
+    let head = lines.next().unwrap_or_default();
     let header = Json::parse(head).map_err(|e| format!("bad header: {e}"))?;
     let name = header
         .get("journal")
@@ -173,8 +205,8 @@ fn replay(text: &str, campaign: &Campaign) -> Result<Vec<(usize, Done)>, String>
             campaign.name()
         ));
     }
-    if header.get("format").and_then(Json::as_u64) != Some(1) {
-        return Err("unsupported journal `format` (expected 1)".into());
+    if header.get("format").and_then(Json::as_u64) != Some(FORMAT) {
+        return Err(format!("unsupported journal `format` (expected {FORMAT})"));
     }
     let planned = header.get("planned").and_then(Json::as_u64);
     if planned != Some(campaign.len() as u64) {
@@ -183,19 +215,24 @@ fn replay(text: &str, campaign: &Campaign) -> Result<Vec<(usize, Done)>, String>
             campaign.len()
         ));
     }
+    let pinned = header
+        .get("pin")
+        .and_then(Json::as_str)
+        .ok_or("header missing string `pin`")?;
+    let pin = pin(campaign);
+    if pinned != pin {
+        return Err(format!(
+            "journal was written under another configuration of campaign `{}`: it \
+             pins runs {pinned}, the campaign now pins {pin} (a run's label or \
+             RunSpec differs: time scale, mode, subset, policy, ...)",
+            campaign.name()
+        ));
+    }
 
     let mut entries = Vec::new();
-    for (i, line) in body.iter().enumerate() {
-        let record = match Json::parse(line) {
-            Ok(v) => v,
-            Err(e) if i + 1 == body.len() => {
-                // A torn final line is the expected crash artifact: the
-                // run it described was not durable, so it re-executes.
-                let _ = e;
-                break;
-            }
-            Err(e) => return Err(format!("corrupt record on line {}: {e}", i + 2)),
-        };
+    for (i, line) in lines.enumerate() {
+        let record =
+            Json::parse(line).map_err(|e| format!("corrupt record on line {}: {e}", i + 2))?;
         let at = |what: &str| format!("record on line {}: {what}", i + 2);
         let id = record
             .get("id")

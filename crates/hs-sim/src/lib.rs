@@ -75,4 +75,4 @@ pub use os::{OsScheduler, ScheduleOutcome, SchedulerConfig};
 pub use runner::{RunSpec, RunSpecBuilder};
 pub use simulator::{Sample, Simulator};
 pub use stats::{SimStats, ThreadBreakdown, ThreadSummary};
-pub use supervise::{ChaosEvent, ChaosPlan, QuarantinedRun, Supervision};
+pub use supervise::{QuarantinedRun, Supervision};

@@ -1,4 +1,4 @@
-//! # Campaign supervision: panic isolation, cycle budget, retries, chaos
+//! # Campaign supervision: panic isolation, quarantine, journal, resume
 //!
 //! Every campaign runs on this engine. Its threat model is this paper's:
 //! hostile guest code, where one bad run must end as a record, not end the
@@ -7,39 +7,27 @@
 //! [`Campaign::run_supervised`] and [`Campaign::resume`] return the
 //! quarantine in the report. The layers:
 //!
-//! * **Panic isolation** — each run executes under
+//! * **Panic isolation** — each run executes once under
 //!   [`std::panic::catch_unwind`]; a poisoned run becomes a typed
 //!   `panicked` outcome instead of a pool abort. No simulation state
 //!   is shared between runs, so unwinding one run cannot corrupt another
 //!   (every run owns its own `Simulator`).
-//! * **Cycle budget** — the one deadline. A run lasts `warmup + quantum`
-//!   cycles, fixed by its spec, so a run whose length exceeds
-//!   [`Supervision::cycle_budget`] is refused before it executes
-//!   (`timed-out:cycles`).
-//! * **Retry** — a panic, or a failure whose [`SimError::is_transient`]
-//!   holds, is retried at once, up to [`Supervision::max_attempts`]
-//!   attempts: no in-process run waits on an external resource, so waiting
-//!   between attempts buys nothing.
-//! * **Quarantine** — a run that fails permanently (or exhausts its
-//!   attempts) lands in [`CampaignReport::quarantined`] as a
-//!   [`QuarantinedRun`]; the rest of the campaign completes.
+//! * **Quarantine** — a run that panics or fails lands in
+//!   [`CampaignReport::quarantined`] as a [`QuarantinedRun`]; the rest of
+//!   the campaign completes. A run is a pure function of its `RunSpec`, so
+//!   it is never retried: a second attempt would end the same way.
 //! * **Crash-safe journal + resume** — with [`Supervision::journal`] set,
-//!   every final outcome is appended to `<name>.journal.jsonl` (one JSON
-//!   record per line, flushed per record); [`Campaign::resume`] replays
-//!   journaled outcomes from disk and executes only the remainder,
-//!   producing a report **byte-identical** to an uninterrupted run.
-//! * **Chaos harness** — a seeded [`ChaosPlan`] injects worker panics and
-//!   transient errors keyed by `(run id, attempt)`, so the whole ladder
-//!   above is exercised deterministically in tests and the `chaos`
-//!   registry experiment.
+//!   every outcome is appended to `<name>.journal.jsonl` (one JSON record
+//!   per line, flushed per record); [`Campaign::resume`] replays journaled
+//!   outcomes from disk and executes only the remainder, producing a report
+//!   **byte-identical** to an uninterrupted run.
 //!
 //! ## Determinism
 //!
 //! The engine keeps the campaign's serial≡parallel byte-identity
-//! contract: outcomes are keyed by stable run id, chaos is a pure function
-//! of `(seed, run id, attempt)`, and the serialized report excludes
-//! everything scheduling-dependent (wall times, journal record order). A
-//! report depends on nothing but the campaign and its [`Supervision`].
+//! contract: outcomes are keyed by stable run id, and the serialized report
+//! excludes everything scheduling-dependent (wall times, journal record
+//! order). A report depends on nothing but the campaign.
 
 use crate::campaign::{Campaign, CampaignReport, PlannedRun};
 use crate::error::SimError;
@@ -47,95 +35,21 @@ use crate::executor::{self, Worker};
 use crate::journal::Journal;
 use crate::json::Json;
 use crate::stats::SimStats;
-use hs_thermal::XorShift64;
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Once;
 use std::time::Instant;
 
-thread_local! {
-    /// Set while this thread executes an attempt under a chaos plan, so
-    /// the panic hook knows the unwind may be injected and expected.
-    static CHAOS: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Installs (once, process-wide) a panic hook that stays silent for
-/// panics of attempts under a chaos plan — injected panics are caught and
-/// reported through [`RunOutcome::Panicked`], so the default hook's
-/// message would only spam stderr — and delegates every other panic,
-/// a genuine simulator panic included, to the previously installed hook
-/// unchanged.
-fn silence_chaos_panics() {
-    static INSTALL: Once = Once::new();
-    INSTALL.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !CHAOS.with(Cell::get) {
-                previous(info);
-            }
-        }));
-    });
-}
-
-/// The outcome lattice of one supervised attempt.
-#[derive(Debug, Clone)]
-pub(crate) enum RunOutcome {
-    /// The run finished and produced statistics.
-    Completed(SimStats),
-    /// The run returned a typed error.
-    Failed(SimError),
-    /// The run panicked; the payload's message, with the pool intact.
-    Panicked {
-        /// The panic payload, stringified.
-        message: String,
-    },
-    /// The run needs more cycles than [`Supervision::cycle_budget`]
-    /// allows. Checked *before* execution, so a budget-busting run costs
-    /// nothing — and since the overrun is a pure function of the spec, it
-    /// is permanent (never retried).
-    TimedOut,
-}
-
-impl RunOutcome {
-    /// Stable kind tag used in journals, artifacts, and renderings.
-    #[must_use]
-    fn kind(&self) -> &'static str {
-        match self {
-            RunOutcome::Completed(_) => "completed",
-            RunOutcome::Failed(_) => "failed",
-            RunOutcome::Panicked { .. } => "panicked",
-            RunOutcome::TimedOut => "timed-out:cycles",
-        }
-    }
-
-    /// Deterministic one-line description.
-    #[must_use]
-    fn detail(&self) -> String {
-        match self {
-            RunOutcome::Completed(_) => String::new(),
-            RunOutcome::Failed(e) => e.to_string(),
-            RunOutcome::Panicked { message } => message.clone(),
-            RunOutcome::TimedOut => {
-                "run needs more cycles than the supervision budget allows".into()
-            }
-        }
-    }
-}
-
-/// A run the supervisor gave up on: the campaign's poison list entry.
+/// A run that panicked or failed: the campaign's poison list entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuarantinedRun {
     /// Stable run id (declaration index).
     pub id: usize,
     /// The run's label.
     pub label: String,
-    /// Attempts spent before quarantining (1 for permanent failures).
-    pub attempts: u32,
-    /// Outcome kind tag: `failed`, `panicked` or `timed-out:cycles`.
+    /// Outcome kind tag: `failed` or `panicked`.
     pub kind: String,
-    /// Deterministic description of the final failure.
+    /// Deterministic description of the failure.
     pub detail: String,
 }
 
@@ -146,13 +60,14 @@ impl QuarantinedRun {
         Json::Obj(vec![
             ("id".into(), Json::U64(self.id as u64)),
             ("label".into(), Json::Str(self.label.clone())),
-            ("attempts".into(), Json::U64(u64::from(self.attempts))),
             ("kind".into(), Json::Str(self.kind.clone())),
             ("detail".into(), Json::Str(self.detail.clone())),
         ])
     }
 
-    /// Reconstructs a record from [`QuarantinedRun::to_json`] output.
+    /// Reconstructs a record from [`QuarantinedRun::to_json`] output. Other
+    /// fields are ignored, such as the `attempts` count older artifacts
+    /// carry.
     ///
     /// # Errors
     ///
@@ -170,103 +85,9 @@ impl QuarantinedRun {
                 .and_then(Json::as_u64)
                 .ok_or("missing integer `id`")? as usize,
             label: str_of("label")?,
-            attempts: u32::try_from(
-                v.get("attempts")
-                    .and_then(Json::as_u64)
-                    .ok_or("missing integer `attempts`")?,
-            )
-            .map_err(|_| "`attempts` overflows u32".to_string())?,
             kind: str_of("kind")?,
             detail: str_of("detail")?,
         })
-    }
-}
-
-/// What chaos injects into one attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosEvent {
-    /// Nothing; the attempt runs normally.
-    None,
-    /// Panic inside the worker before the run executes.
-    Panic,
-    /// Return a transient [`SimError::Interrupted`] instead of running.
-    Transient,
-}
-
-/// A deterministic fault schedule for the supervision layer itself.
-///
-/// Events are a pure function of `(seed, run id, attempt)` — never of
-/// worker identity or timing — so a chaotic campaign is exactly as
-/// reproducible as a clean one. Two regimes:
-///
-/// * **Seeded rates** (`panic_rate`/`transient_rate`): fire on the *first*
-///   attempt only, so bounded retry always clears them. This keeps the
-///   quarantine set exactly equal to the planned one.
-/// * **Planned permanent failures** (`permanent`): those run ids panic on
-///   *every* attempt, so they deterministically exhaust their retries and
-///   land in quarantine.
-#[derive(Debug, Clone, Default)]
-pub struct ChaosPlan {
-    seed: u64,
-    panic_rate: f64,
-    transient_rate: f64,
-    permanent: Vec<usize>,
-}
-
-impl ChaosPlan {
-    /// A plan with the given seed and no events.
-    #[must_use]
-    pub fn seeded(seed: u64) -> Self {
-        ChaosPlan {
-            seed,
-            ..ChaosPlan::default()
-        }
-    }
-
-    /// Probability that a first attempt panics.
-    #[must_use]
-    pub fn panic_rate(mut self, rate: f64) -> Self {
-        self.panic_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Probability that a first attempt fails with a transient error.
-    #[must_use]
-    pub fn transient_rate(mut self, rate: f64) -> Self {
-        self.transient_rate = rate.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Run ids that fail on every attempt (the planned quarantine set).
-    #[must_use]
-    pub fn permanent(mut self, ids: impl IntoIterator<Item = usize>) -> Self {
-        self.permanent.extend(ids);
-        self
-    }
-
-    /// The event for one attempt — a pure function of the plan and the
-    /// `(run_id, attempt)` pair.
-    #[must_use]
-    pub fn event(&self, run_id: usize, attempt: u32) -> ChaosEvent {
-        if self.permanent.contains(&run_id) {
-            return ChaosEvent::Panic;
-        }
-        if attempt > 1 {
-            // Rate-based faults are first-attempt only: retries are clean,
-            // so the quarantine set stays exactly the planned one.
-            return ChaosEvent::None;
-        }
-        let mut rng = XorShift64::new(
-            self.seed ^ (run_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x000C_4A05,
-        );
-        let x = rng.next_f64();
-        if x < self.panic_rate {
-            ChaosEvent::Panic
-        } else if x < self.panic_rate + self.transient_rate {
-            ChaosEvent::Transient
-        } else {
-            ChaosEvent::None
-        }
     }
 }
 
@@ -274,14 +95,6 @@ impl ChaosPlan {
 /// [`Campaign::resume`]; [`Campaign::run`] runs under the default one.
 #[derive(Debug, Clone, Default)]
 pub struct Supervision {
-    /// Deterministic per-run cycle budget (`warmup + quantum` must not
-    /// exceed it); `None` disables the check.
-    pub cycle_budget: Option<u64>,
-    /// Attempts per run, the first included, for transient failures.
-    /// Values below 1 mean 1, so the default makes one attempt.
-    pub max_attempts: u32,
-    /// Fault injection for the supervision layer itself.
-    pub chaos: Option<ChaosPlan>,
     /// Append-only run journal path (`<name>.journal.jsonl`); `None`
     /// disables journaling (and therefore resume).
     pub journal: Option<PathBuf>,
@@ -299,11 +112,10 @@ pub(crate) enum Done {
 }
 
 impl Campaign {
-    /// Executes the matrix under supervision: panics are isolated, the
-    /// cycle budget enforced, transient failures retried, permanent ones
-    /// quarantined, and (with [`Supervision::journal`] set) every outcome
-    /// journaled crash-safely. An existing journal file is **truncated**;
-    /// use [`Campaign::resume`] to continue one.
+    /// Executes the matrix under supervision: panics are isolated, runs
+    /// that panic or fail quarantined, and (with [`Supervision::journal`]
+    /// set) every outcome journaled crash-safely. An existing journal file
+    /// is **truncated**; use [`Campaign::resume`] to continue one.
     ///
     /// # Errors
     ///
@@ -322,14 +134,14 @@ impl Campaign {
     /// exists its completed and quarantined runs are **replayed from
     /// disk** and only the remainder executes. The resulting report is
     /// byte-identical to an uninterrupted run (journaled statistics
-    /// round-trip bit-exactly). Without an existing journal this is a
-    /// fresh supervised run.
+    /// round-trip bit-exactly). Without an existing journal, or with one
+    /// holding no complete header line, this is a fresh supervised run.
     ///
     /// # Errors
     ///
     /// As [`Campaign::run_supervised`], plus [`SimError::Journal`] when
-    /// the journal on disk was written by a different campaign or is
-    /// corrupt beyond its (tolerated) torn final line.
+    /// the journal on disk was written by a different campaign or another
+    /// configuration of this one, or is corrupt in a complete line.
     pub fn resume(&self, jobs: usize, sup: &Supervision) -> Result<CampaignReport, SimError> {
         self.execute_supervised(jobs, sup, true)
     }
@@ -341,7 +153,6 @@ impl Campaign {
         resume: bool,
     ) -> Result<CampaignReport, SimError> {
         self.preflight()?;
-        silence_chaos_panics();
         let started = Instant::now();
         let mut slots: Vec<Option<Done>> = self.runs().iter().map(|_| None).collect();
 
@@ -368,7 +179,7 @@ impl Campaign {
             &pending,
             jobs,
             |id, worker| {
-                let done = supervise_one(&self.runs()[id], id, sup, worker);
+                let done = supervise_one(&self.runs()[id], id, worker);
                 if let Some(journal) = &journal {
                     match &done {
                         Done::Completed(stats) => {
@@ -422,81 +233,24 @@ impl Campaign {
     }
 }
 
-/// Runs one planned run to its final disposition: retry transient
-/// failures up to [`Supervision::max_attempts`], quarantine permanent ones.
-fn supervise_one(run: &PlannedRun, id: usize, sup: &Supervision, worker: &Worker<'_>) -> Done {
-    let max_attempts = sup.max_attempts.max(1);
-    for attempt in 1..=max_attempts {
-        let outcome = attempt_once(run, id, attempt, sup, worker);
-        let transient = match outcome {
-            RunOutcome::Completed(stats) => return Done::Completed(stats),
-            RunOutcome::Failed(ref e) => e.is_transient(),
-            // A panic may be a poisoned environment (chaos, resource
-            // exhaustion); bounded retry decides whether it is sticky.
-            RunOutcome::Panicked { .. } => true,
-            RunOutcome::TimedOut => false,
-        };
-        if transient && attempt < max_attempts {
-            continue;
-        }
-        return Done::Quarantined(QuarantinedRun {
-            id,
-            label: run.label.clone(),
-            attempts: attempt,
-            kind: outcome.kind().to_string(),
-            detail: outcome.detail(),
-        });
-    }
-    unreachable!("attempt loop always returns")
-}
-
-/// One supervised attempt: cycle-budget gate, chaos injection, panic
-/// isolation.
-fn attempt_once(
-    run: &PlannedRun,
-    id: usize,
-    attempt: u32,
-    sup: &Supervision,
-    worker: &Worker<'_>,
-) -> RunOutcome {
-    if let Some(budget) = sup.cycle_budget {
-        let cfg = run.spec.config();
-        let needed = cfg.warmup_cycles.saturating_add(cfg.quantum_cycles);
-        if needed > budget {
-            return RunOutcome::TimedOut;
-        }
-    }
-    let chaos = sup
-        .chaos
-        .as_ref()
-        .map_or(ChaosEvent::None, |p| p.event(id, attempt));
-    if chaos == ChaosEvent::Transient {
-        return RunOutcome::Failed(SimError::Interrupted {
-            what: format!("chaos: injected transient fault (attempt {attempt})"),
-        });
-    }
-    let label = &run.label;
-    let work = || {
-        assert!(
-            chaos != ChaosEvent::Panic,
-            "chaos: injected panic in `{label}` (attempt {attempt})"
-        );
-        worker.run(id, &run.spec)
-    };
-    // `RunSpec` is plain data, each attempt builds a fresh `Simulator`, and
-    // a shared warm core is only ever cloned (an unwinding warm-up hands
-    // its duty back), so nothing observable survives an unwind:
+/// Runs one planned run, isolating a panic: it completes, or it is
+/// quarantined as `failed` or `panicked`.
+fn supervise_one(run: &PlannedRun, id: usize, worker: &Worker<'_>) -> Done {
+    // `RunSpec` is plain data, each run builds a fresh `Simulator`, and a
+    // shared warm core is only ever cloned (an unwinding warm-up hands its
+    // duty back), so nothing observable survives an unwind:
     // AssertUnwindSafe is sound.
-    CHAOS.with(|c| c.set(sup.chaos.is_some()));
-    let caught = catch_unwind(AssertUnwindSafe(work));
-    CHAOS.with(|c| c.set(false));
-    match caught {
-        Ok(Ok(stats)) => RunOutcome::Completed(stats),
-        Ok(Err(e)) => RunOutcome::Failed(e),
-        Err(payload) => RunOutcome::Panicked {
-            message: panic_message(payload.as_ref()),
-        },
-    }
+    let (kind, detail) = match catch_unwind(AssertUnwindSafe(|| worker.run(id, &run.spec))) {
+        Ok(Ok(stats)) => return Done::Completed(stats),
+        Ok(Err(e)) => ("failed", e.to_string()),
+        Err(payload) => ("panicked", panic_message(payload.as_ref())),
+    };
+    Done::Quarantined(QuarantinedRun {
+        id,
+        label: run.label.clone(),
+        kind: kind.to_string(),
+        detail,
+    })
 }
 
 /// Best-effort stringification of a panic payload.
@@ -513,31 +267,191 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::RunRecord;
+    use crate::{HeatSink, PolicyKind, RunSpec, SimConfig};
+    use hs_workloads::{SpecWorkload, Workload};
+    use std::time::Duration;
 
-    #[test]
-    fn chaos_events_are_pure_and_first_attempt_only() {
-        let plan = ChaosPlan::seeded(11)
-            .panic_rate(0.3)
-            .transient_rate(0.3)
-            .permanent([5]);
-        let mut fired = 0;
-        for id in 0..40 {
-            let e = plan.event(id, 1);
-            assert_eq!(e, plan.event(id, 1), "pure function of (id, attempt)");
-            if e != ChaosEvent::None {
-                fired += 1;
-            }
-            if id != 5 {
-                assert_eq!(plan.event(id, 2), ChaosEvent::None, "retries are clean");
-            }
+    /// Tiny runs at a time scale where the DTM acts within the quantum.
+    fn tiny() -> SimConfig {
+        let mut c = SimConfig::scaled(2000.0);
+        c.warmup_cycles = 20_000;
+        c.quantum_cycles = 30_000;
+        c
+    }
+
+    /// Four runs of one warm-up (gcc+variant2), then two of another
+    /// (variant1 solo).
+    fn two_groups(name: &str) -> Campaign {
+        let pair = [Workload::Spec(SpecWorkload::Gcc), Workload::Variant2];
+        let mut c = Campaign::new(name);
+        for (label, policy, sink) in [
+            (
+                "pair/stop-and-go",
+                PolicyKind::StopAndGo,
+                HeatSink::Realistic,
+            ),
+            (
+                "pair/sedation",
+                PolicyKind::SelectiveSedation,
+                HeatSink::Realistic,
+            ),
+            ("pair/dvfs", PolicyKind::GlobalDvfs, HeatSink::Realistic),
+            ("pair/ideal", PolicyKind::SelectiveSedation, HeatSink::Ideal),
+        ] {
+            c.push(label, RunSpec::pair(pair[0], pair[1], policy, sink, tiny()));
         }
-        assert!(fired > 5, "rates must actually fire ({fired}/40)");
-        for attempt in 1..=4 {
-            assert_eq!(
-                plan.event(5, attempt),
-                ChaosEvent::Panic,
-                "permanent ids stick"
+        for policy in [PolicyKind::StopAndGo, PolicyKind::SelectiveSedation] {
+            c.push(
+                format!("v1/{}", policy.name()),
+                RunSpec::solo(Workload::Variant1, policy, HeatSink::Realistic, tiny()),
             );
         }
+        c
+    }
+
+    /// Every run of `campaign` but `except`, one by one through
+    /// `RunSpec::try_run`.
+    fn reference(campaign: &Campaign, except: usize) -> Vec<RunRecord> {
+        (0..campaign.len())
+            .filter(|&id| id != except)
+            .map(|id| campaign.record(id, campaign.runs()[id].spec.try_run().expect("reference")))
+            .collect()
+    }
+
+    /// `report`'s artifact as it must read: `runs` from the reference, the
+    /// quarantine as reported.
+    fn expected_json(report: &CampaignReport, runs: Vec<RunRecord>) -> String {
+        CampaignReport {
+            name: report.name.clone(),
+            runs,
+            quarantined: report.quarantined.clone(),
+            jobs: 0,
+            warmups: 0,
+            wall: Duration::ZERO,
+        }
+        .to_json()
+    }
+
+    /// A scratch journal path unique to this test, cleaned before use.
+    fn scratch(test: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "hs-sup-unit-{}-{test}.journal.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    #[test]
+    fn a_panicking_run_is_quarantined_and_the_others_complete() {
+        let campaign = two_groups("panics");
+        let expected = reference(&campaign, 2);
+        let reports: Vec<String> = [1, 3]
+            .map(|jobs| {
+                let report = executor::panicking_run(2, || {
+                    campaign.run_supervised(jobs, &Supervision::default())
+                })
+                .expect("the pool survives the panic");
+                assert_eq!(
+                    report.quarantined,
+                    [QuarantinedRun {
+                        id: 2,
+                        label: "pair/dvfs".into(),
+                        kind: "panicked".into(),
+                        detail: executor::planted_panic_message(2),
+                    }],
+                    "jobs={jobs}"
+                );
+                assert_eq!(
+                    report.to_json(),
+                    expected_json(&report, expected.clone()),
+                    "jobs={jobs}"
+                );
+                report.to_json()
+            })
+            .into();
+        assert_eq!(reports[0], reports[1], "jobs 1 vs 3");
+    }
+
+    #[test]
+    fn a_run_panicking_while_it_warms_strands_nobody() {
+        // Run 0 is its group's first: at jobs 1 it always takes the duty
+        // to warm the group's core and panics holding it, so the duty is
+        // handed back and the group's next run warms the core instead.
+        let campaign = two_groups("warming-panic");
+        let expected = reference(&campaign, 0);
+        let reports: Vec<String> = [1, 3]
+            .map(|jobs| {
+                let report = executor::panicking_run(0, || {
+                    campaign.run_supervised(jobs, &Supervision::default())
+                })
+                .expect("supervised");
+                let quarantined: Vec<(usize, &str)> = report
+                    .quarantined
+                    .iter()
+                    .map(|q| (q.id, q.kind.as_str()))
+                    .collect();
+                assert_eq!(quarantined, [(0, "panicked")], "jobs={jobs}");
+                assert_eq!(
+                    report.to_json(),
+                    expected_json(&report, expected.clone()),
+                    "jobs={jobs}"
+                );
+                assert_eq!(report.warmups, 2, "jobs={jobs}");
+                report.to_json()
+            })
+            .into();
+        assert_eq!(reports[0], reports[1], "jobs 1 vs 3");
+    }
+
+    #[test]
+    fn a_journaled_quarantine_survives_abort_and_resume() {
+        let campaign = two_groups("quarantine-resume");
+        let full =
+            executor::panicking_run(1, || campaign.run_supervised(1, &Supervision::default()))
+                .expect("uninterrupted run");
+        let path = scratch("quarantine-resume");
+        let sup = Supervision {
+            journal: Some(path.clone()),
+            ..Supervision::default()
+        };
+        // Runs 0 and 1 are journaled, run 1 as quarantined, then the abort.
+        let err = executor::panicking_run(1, || {
+            campaign.run_supervised(
+                1,
+                &Supervision {
+                    abort_after: Some(2),
+                    ..sup.clone()
+                },
+            )
+        })
+        .expect_err("abort hook fires");
+        assert!(matches!(err, SimError::Interrupted { .. }), "{err}");
+        let journal = std::fs::read_to_string(&path).expect("journal exists");
+        assert!(journal.contains(r#""outcome":"quarantined""#), "{journal}");
+        // No run panics now: the quarantine comes from the journal alone.
+        let resumed = campaign.resume(2, &sup).expect("resume");
+        assert_eq!(resumed.quarantined, full.quarantined);
+        assert_eq!(resumed.to_json(), full.to_json());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn quarantine_records_with_an_attempts_count_still_parse() {
+        let record =
+            Json::parse(r#"{"id":3,"label":"v1","attempts":3,"kind":"panicked","detail":"boom"}"#)
+                .expect("json");
+        let q = QuarantinedRun::from_json(&record).expect("attempts is ignored");
+        assert_eq!(
+            q,
+            QuarantinedRun {
+                id: 3,
+                label: "v1".into(),
+                kind: "panicked".into(),
+                detail: "boom".into(),
+            }
+        );
+        assert_eq!(QuarantinedRun::from_json(&q.to_json()), Ok(q));
     }
 }

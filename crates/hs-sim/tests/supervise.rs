@@ -1,10 +1,9 @@
-//! Integration tests for the campaign supervision layer: determinism under
-//! chaos, panic isolation, the cycle budget, retry, and journal + resume.
+//! Integration tests for the campaign supervision layer: the journal and
+//! resume. Panic isolation needs a planted panic, which only the unit tests
+//! of `hs_sim::supervise` can plant.
 
 use hs_sim::campaign::CampaignMatrix;
-use hs_sim::{
-    Campaign, ChaosPlan, HeatSink, PolicyKind, RunSpec, SimConfig, SimError, Supervision,
-};
+use hs_sim::{Campaign, HeatSink, PolicyKind, RunSpec, SimConfig, SimError, Supervision};
 use hs_workloads::{SpecWorkload, Workload};
 use std::path::PathBuf;
 
@@ -18,7 +17,12 @@ fn tiny() -> SimConfig {
 
 /// A 6-run matrix (3 workload sets × 2 policies).
 fn matrix(name: &str) -> Campaign {
-    CampaignMatrix::new(tiny())
+    matrix_on(name, tiny())
+}
+
+/// [`matrix`] on another base config: the same labels.
+fn matrix_on(name: &str, base: SimConfig) -> Campaign {
+    CampaignMatrix::new(base)
         .workloads("gcc", [Workload::Spec(SpecWorkload::Gcc)])
         .workloads("v1", [Workload::Variant1])
         .workloads("v2", [Workload::Variant2])
@@ -57,149 +61,8 @@ fn supervision_without_faults_matches_the_plain_engine() {
 }
 
 #[test]
-fn chaos_is_deterministic_across_worker_counts() {
-    let campaign = matrix("chaos-det");
-    let sup = Supervision {
-        max_attempts: 3,
-        chaos: Some(
-            ChaosPlan::seeded(1905)
-                .panic_rate(0.4)
-                .transient_rate(0.3)
-                .permanent([1, 3]),
-        ),
-        ..Supervision::default()
-    };
-    let reports: Vec<String> = [1, 4, 64]
-        .iter()
-        .map(|&jobs| {
-            campaign
-                .run_supervised(jobs, &sup)
-                .expect("supervised")
-                .to_json()
-        })
-        .collect();
-    assert_eq!(reports[0], reports[1], "jobs 1 vs 4");
-    assert_eq!(reports[0], reports[2], "jobs 1 vs 64");
-
-    let report = campaign.run_supervised(4, &sup).expect("supervised");
-    let ids: Vec<usize> = report.quarantined.iter().map(|q| q.id).collect();
-    assert_eq!(ids, vec![1, 3], "quarantine set == planned permanent set");
-    for q in &report.quarantined {
-        assert_eq!(q.attempts, 3, "permanent faults exhaust the retry budget");
-        assert_eq!(q.kind, "panicked");
-        assert!(
-            q.detail.contains("chaos"),
-            "detail names the injected fault: {}",
-            q.detail
-        );
-    }
-    assert_eq!(report.runs.len(), 4, "the other four runs complete");
-}
-
-#[test]
-fn panic_isolation_keeps_the_pool_alive() {
-    let campaign = matrix("panics");
-    let sup = Supervision {
-        chaos: Some(ChaosPlan::seeded(7).permanent([0])),
-        ..Supervision::default()
-    };
-    let report = campaign
-        .run_supervised(3, &sup)
-        .expect("pool survives the panic");
-    assert_eq!(report.quarantined.len(), 1);
-    assert_eq!(report.quarantined[0].id, 0);
-    assert_eq!(
-        report.quarantined[0].attempts, 1,
-        "default policy has no retries"
-    );
-    assert_eq!(report.runs.len(), 5);
-}
-
-#[test]
-fn retry_clears_transient_faults_but_one_attempt_does_not() {
-    let campaign = matrix("transients");
-    let all_transient = ChaosPlan::seeded(3).transient_rate(1.0);
-    let retried = Supervision {
-        max_attempts: 2,
-        chaos: Some(all_transient.clone()),
-        ..Supervision::default()
-    };
-    let report = campaign.run_supervised(2, &retried).expect("supervised");
-    assert!(
-        report.quarantined.is_empty(),
-        "attempt 2 is clean by construction"
-    );
-    assert_eq!(report.runs.len(), 6);
-
-    let single_shot = Supervision {
-        max_attempts: 1,
-        chaos: Some(all_transient),
-        ..Supervision::default()
-    };
-    let report = campaign
-        .run_supervised(2, &single_shot)
-        .expect("supervised");
-    assert_eq!(
-        report.quarantined.len(),
-        6,
-        "no retry budget, everything quarantines"
-    );
-    assert!(report.quarantined.iter().all(|q| q.kind == "failed"));
-    assert!(report.runs.is_empty());
-}
-
-#[test]
-fn cycle_budget_refuses_busters_before_they_execute() {
-    let cfg = tiny();
-    let budget = cfg.warmup_cycles + cfg.quantum_cycles; // fits exactly
-    let mut buster_cfg = cfg;
-    buster_cfg.quantum_cycles *= 2;
-
-    let mut campaign = Campaign::new("budget");
-    campaign.push(
-        "ok",
-        RunSpec::solo(
-            Workload::Variant1,
-            PolicyKind::StopAndGo,
-            HeatSink::Ideal,
-            tiny(),
-        ),
-    );
-    campaign.push(
-        "buster",
-        RunSpec::solo(
-            Workload::Variant1,
-            PolicyKind::StopAndGo,
-            HeatSink::Ideal,
-            tiny(),
-        )
-        .with_config(buster_cfg),
-    );
-    let sup = Supervision {
-        cycle_budget: Some(budget),
-        max_attempts: 5,
-        ..Supervision::default()
-    };
-    let report = campaign.run_supervised(2, &sup).expect("supervised");
-    assert_eq!(report.runs.len(), 1);
-    assert_eq!(report.quarantined.len(), 1);
-    let q = &report.quarantined[0];
-    assert_eq!(q.label, "buster");
-    assert_eq!(q.kind, "timed-out:cycles");
-    assert_eq!(
-        q.attempts, 1,
-        "a deterministic overrun is permanent: never retried"
-    );
-}
-
-#[test]
 fn abort_then_resume_is_byte_identical_to_an_uninterrupted_run() {
     let campaign = matrix("resume");
-    let sup = Supervision {
-        max_attempts: 2,
-        chaos: Some(ChaosPlan::seeded(9).permanent([2])),
-        ..Supervision::default()
-    };
 
     // The reference: uninterrupted, journaled.
     let full_path = scratch("resume-full");
@@ -208,7 +71,7 @@ fn abort_then_resume_is_byte_identical_to_an_uninterrupted_run() {
             1,
             &Supervision {
                 journal: Some(full_path.clone()),
-                ..sup.clone()
+                ..Supervision::default()
             },
         )
         .expect("uninterrupted run");
@@ -221,7 +84,6 @@ fn abort_then_resume_is_byte_identical_to_an_uninterrupted_run() {
             &Supervision {
                 journal: Some(path.clone()),
                 abort_after: Some(3),
-                ..sup.clone()
             },
         )
         .expect_err("abort hook fires");
@@ -239,7 +101,7 @@ fn abort_then_resume_is_byte_identical_to_an_uninterrupted_run() {
             2,
             &Supervision {
                 journal: Some(path.clone()),
-                ..sup.clone()
+                ..Supervision::default()
             },
         )
         .expect("resume");
@@ -255,7 +117,7 @@ fn abort_then_resume_is_byte_identical_to_an_uninterrupted_run() {
             2,
             &Supervision {
                 journal: Some(path.clone()),
-                ..sup
+                ..Supervision::default()
             },
         )
         .expect("no-op resume");
@@ -265,27 +127,78 @@ fn abort_then_resume_is_byte_identical_to_an_uninterrupted_run() {
     let _ = std::fs::remove_file(&full_path);
 }
 
-#[test]
-fn a_torn_final_journal_line_is_tolerated() {
-    let campaign = matrix("torn");
-    let path = scratch("torn");
+/// A journaled run of [`matrix`] at one worker, so its journal's lines come
+/// in run-id order: the campaign, its artifact, the journal's text and the
+/// supervision.
+fn journaled(test: &str) -> (Campaign, String, String, Supervision) {
+    let campaign = matrix(test);
+    let path = scratch(test);
     let sup = Supervision {
         journal: Some(path.clone()),
         ..Supervision::default()
     };
-    let full = campaign.run_supervised(1, &sup).expect("run");
-    // Simulate a crash mid-append: truncate the last line in half.
+    let full = campaign.run_supervised(1, &sup).expect("run").to_json();
     let text = std::fs::read_to_string(&path).expect("journal");
-    let whole = text.trim_end();
-    let torn = &whole[..whole.len() - whole.lines().last().unwrap().len() / 2];
+    assert_eq!(text.lines().count(), 7, "header + 6 outcomes:\n{text}");
+    (campaign, full, text, sup)
+}
+
+#[test]
+fn a_torn_final_journal_line_is_tolerated() {
+    let (campaign, full, text, sup) = journaled("torn");
+    let path = sup.journal.clone().expect("journaled");
+    // A crash mid-append: three records, then half of the fourth.
+    let lines: Vec<&str> = text.lines().collect();
+    let torn = format!(
+        "{}\n{}",
+        lines[..4].join("\n"),
+        &lines[4][..lines[4].len() / 2]
+    );
     std::fs::write(&path, torn).expect("write torn journal");
 
-    let resumed = campaign.resume(1, &sup).expect("torn line tolerated");
+    // A second crash, two outcomes into the resume: the torn bytes are cut
+    // before the first new record is appended, not glued onto it.
+    let err = campaign
+        .resume(
+            1,
+            &Supervision {
+                abort_after: Some(2),
+                ..sup.clone()
+            },
+        )
+        .expect_err("abort hook fires");
+    assert!(matches!(err, SimError::Interrupted { .. }), "got {err}");
+    let resumed = campaign.resume(1, &sup).expect("torn tail cut");
+    assert_eq!(resumed.to_json(), full, "the torn run re-executes");
     assert_eq!(
-        resumed.to_json(),
-        full.to_json(),
-        "the torn run re-executes"
+        std::fs::read_to_string(&path).expect("journal"),
+        text,
+        "the journal reads as an uninterrupted one"
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_final_record_without_its_newline_is_not_durable() {
+    let (campaign, full, text, sup) = journaled("no-newline");
+    let path = sup.journal.clone().expect("journaled");
+    std::fs::write(&path, text.trim_end_matches('\n')).expect("strip the newline");
+    let resumed = campaign.resume(1, &sup).expect("resume");
+    assert_eq!(resumed.to_json(), full, "the last run re-executes");
+    assert_eq!(std::fs::read_to_string(&path).expect("journal"), text);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_journal_without_a_complete_header_starts_afresh() {
+    let (campaign, full, text, sup) = journaled("headless");
+    let path = sup.journal.clone().expect("journaled");
+    for stub in ["", &text[..10]] {
+        std::fs::write(&path, stub).expect("write stub journal");
+        let resumed = campaign.resume(1, &sup).expect("a fresh run");
+        assert_eq!(resumed.to_json(), full, "stub {stub:?}");
+        assert_eq!(std::fs::read_to_string(&path).expect("journal"), text);
+    }
     let _ = std::fs::remove_file(&path);
 }
 
@@ -316,6 +229,24 @@ fn journals_from_a_different_campaign_are_rejected() {
     );
     let err = shrunk.resume(1, &sup).expect_err("planned-count mismatch");
     assert!(matches!(err, SimError::Journal { .. }), "got {err}");
+
+    // Same name and labels, another time scale.
+    let rescaled = SimConfig {
+        warmup_cycles: tiny().warmup_cycles,
+        quantum_cycles: tiny().quantum_cycles,
+        ..SimConfig::scaled(1000.0)
+    };
+    let err = matrix_on("owner", rescaled)
+        .resume(1, &sup)
+        .expect_err("configuration mismatch");
+    assert!(matches!(err, SimError::Journal { .. }), "got {err}");
+    assert!(err.to_string().contains("pins"), "{err}");
+
+    // A format-1 journal has no pin to check.
+    let text = std::fs::read_to_string(&path).expect("journal");
+    std::fs::write(&path, text.replacen(r#""format":2"#, r#""format":1"#, 1)).expect("write");
+    let err = matrix("owner").resume(1, &sup).expect_err("format 1");
+    assert!(err.to_string().contains("format"), "{err}");
     let _ = std::fs::remove_file(&path);
 }
 

@@ -1,12 +1,13 @@
 //! Differential tests for warm-up sharing: a campaign simulates each
 //! distinct warm-up once and starts the runs sharing it from clones of the
 //! warmed core, and every report must equal the one built from each run's
-//! own `RunSpec::try_run()` — at any worker count, under chaos, and across
-//! an abort and resume.
+//! own `RunSpec::try_run()` — at any worker count and across an abort and
+//! resume. A run that panics while it warms its group's core is covered by
+//! the unit tests of `hs_sim::supervise`, which can plant that panic.
 
 use hs_sim::{
-    AdmissionMode, Campaign, CampaignReport, ChaosEvent, ChaosPlan, ExecMode, FaultConfig,
-    HeatSink, PolicyKind, RunRecord, RunSpec, SimConfig, Supervision,
+    AdmissionMode, Campaign, CampaignReport, ExecMode, FaultConfig, HeatSink, PolicyKind,
+    RunRecord, RunSpec, SimConfig, Supervision,
 };
 use hs_thermal::{Block, SensorFault, SensorFaultKind, SensorFaultPlan};
 use hs_workloads::{SpecWorkload, Workload};
@@ -199,52 +200,6 @@ fn two_groups(name: &str) -> Campaign {
         );
     }
     c
-}
-
-#[test]
-fn a_chaos_panic_on_a_groups_first_run_strands_nobody() {
-    let campaign = two_groups("chaos-first");
-    let expected = reference(&campaign, 0..campaign.len());
-    // A seed whose only first-attempt fault is a panic of run 0, the
-    // first run of the first group.
-    let plan = (0..)
-        .map(|seed| ChaosPlan::seeded(seed).panic_rate(0.3))
-        .find(|p| {
-            p.event(0, 1) == ChaosEvent::Panic
-                && (1..campaign.len()).all(|id| p.event(id, 1) == ChaosEvent::None)
-        })
-        .expect("some seed panics run 0 alone");
-    let retried = Supervision {
-        max_attempts: 2,
-        chaos: Some(plan),
-        ..Supervision::default()
-    };
-    for jobs in [1, 3] {
-        let report = campaign.run_supervised(jobs, &retried).expect("supervised");
-        assert!(report.quarantined.is_empty(), "jobs={jobs}");
-        assert_eq!(
-            report.to_json(),
-            expected_json(&report, expected.clone()),
-            "jobs={jobs}"
-        );
-    }
-    // A run 0 that never succeeds leaves its group's runs to warm up
-    // without it.
-    let doomed = Supervision {
-        chaos: Some(ChaosPlan::seeded(1).permanent([0])),
-        ..Supervision::default()
-    };
-    for jobs in [1, 3] {
-        let report = campaign.run_supervised(jobs, &doomed).expect("supervised");
-        let quarantined: Vec<usize> = report.quarantined.iter().map(|q| q.id).collect();
-        assert_eq!(quarantined, [0], "jobs={jobs}");
-        assert_eq!(
-            report.to_json(),
-            expected_json(&report, expected[1..].to_vec()),
-            "jobs={jobs}"
-        );
-        assert_eq!(report.warmups, 2, "jobs={jobs}");
-    }
 }
 
 #[test]

@@ -12,9 +12,14 @@
 # automatically (the old hardcoded array had drifted out of date).
 #
 # --resume is handed through to the campaign binary: an experiment
-# replays `results/<name>.journal.jsonl` and executes only the runs the
-# journal is missing; the resumed artifact is byte-identical to an
-# uninterrupted one.
+# journals its runs to `results/<name>.journal.jsonl`, replays what that
+# journal already holds and executes only the runs it is missing; the
+# resumed artifact is byte-identical to an uninterrupted one. A plain run
+# journals nothing, so --resume continues only a run that was itself
+# started with --resume. A finished journal replays as it is: delete
+# `results/*.journal.jsonl` after changing code. The journal pins the
+# configuration (HS_TIME_SCALE, HS_SUBSET, ...), so a changed one exits 7,
+# but it does not notice a rebuilt binary.
 set -euo pipefail
 cd "$(dirname "$0")"
 BIN=target/release
