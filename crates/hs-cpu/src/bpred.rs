@@ -9,17 +9,8 @@
 /// low bits of the branch's instruction address.
 ///
 /// Counters start weakly taken (2), matching SimpleScalar's bimodal table.
-///
-/// ```
-/// use hs_cpu::BranchPredictor;
-/// let mut p = BranchPredictor::new(16);
-/// // Train toward not-taken.
-/// p.update(0x40, false);
-/// p.update(0x40, false);
-/// assert!(!p.predict(0x40));
-/// ```
 #[derive(Debug, Clone)]
-pub struct BranchPredictor {
+pub(crate) struct BranchPredictor {
     counters: Vec<u8>,
     mask: u64,
 }
@@ -31,7 +22,7 @@ impl BranchPredictor {
     ///
     /// Panics if `entries` is not a nonzero power of two.
     #[must_use]
-    pub fn new(entries: u32) -> Self {
+    pub(crate) fn new(entries: u32) -> Self {
         assert!(
             entries > 0 && entries.is_power_of_two(),
             "predictor entries must be a nonzero power of two"
@@ -48,12 +39,12 @@ impl BranchPredictor {
 
     /// Predicts the direction of the conditional branch at `addr`.
     #[must_use]
-    pub fn predict(&self, addr: u64) -> bool {
+    pub(crate) fn predict(&self, addr: u64) -> bool {
         self.counters[self.slot(addr)] >= 2
     }
 
     /// Updates the counter with the actual outcome.
-    pub fn update(&mut self, addr: u64, taken: bool) {
+    pub(crate) fn update(&mut self, addr: u64, taken: bool) {
         let slot = self.slot(addr);
         let c = &mut self.counters[slot];
         if taken {
@@ -67,6 +58,16 @@ impl BranchPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn weakly_taken_counter_flips_after_two_not_taken() {
+        let mut p = BranchPredictor::new(16);
+        assert!(p.predict(0x40));
+        p.update(0x40, false);
+        assert!(!p.predict(0x40));
+        p.update(0x40, false);
+        assert!(!p.predict(0x40));
+    }
 
     #[test]
     fn always_taken_loop_saturates() {

@@ -37,7 +37,8 @@ pub struct CpuConfig {
     pub fetch_queue_size: u32,
     /// Maximum instructions dispatched (renamed + inserted) per cycle.
     pub dispatch_width: u32,
-    /// Maximum instructions issued to functional units per cycle.
+    /// Maximum instructions issued to functional units per cycle, at most
+    /// 32.
     pub issue_width: u32,
     /// Maximum instructions committed per cycle.
     pub commit_width: u32,
@@ -68,8 +69,8 @@ pub struct CpuConfig {
     /// Number of entries in the bimodal branch predictor.
     pub bpred_entries: u32,
     /// How many window entries (oldest first) the issue select logic can
-    /// examine per cycle — real select trees have bounded depth; this also
-    /// bounds simulation cost per cycle.
+    /// examine per cycle, at most 32 — real select trees have bounded
+    /// depth; this also bounds simulation cost per cycle.
     pub issue_scan_depth: u32,
 }
 
@@ -105,10 +106,11 @@ impl CpuConfig {
     /// # Errors
     ///
     /// Returns a description of the first violated constraint: a zero
-    /// width or capacity, a RUU cap outside the RUU, a non-power-of-two
-    /// predictor, or more contexts than [`crate::MAX_THREADS`].
+    /// width or capacity, an issue width or select depth outside `1..=32`,
+    /// a RUU cap outside the RUU, a non-power-of-two predictor, or more
+    /// contexts than [`crate::MAX_THREADS`].
     pub fn try_validate(&self) -> Result<(), String> {
-        let nonzero: [(&str, u64); 10] = [
+        let nonzero: [(&str, u64); 9] = [
             ("fetch_width", u64::from(self.fetch_width)),
             (
                 "fetch_threads_per_cycle",
@@ -116,7 +118,6 @@ impl CpuConfig {
             ),
             ("fetch_queue_size", self.fetch_queue_size as u64),
             ("dispatch_width", u64::from(self.dispatch_width)),
-            ("issue_width", u64::from(self.issue_width)),
             ("commit_width", u64::from(self.commit_width)),
             ("ruu_size", self.ruu_size as u64),
             ("lsq_size", self.lsq_size as u64),
@@ -131,8 +132,14 @@ impl CpuConfig {
         if !(1..=self.ruu_size).contains(&self.ruu_per_thread_cap) {
             return Err("per-thread RUU cap must be in 1..=ruu_size".into());
         }
-        if self.issue_scan_depth == 0 {
-            return Err("issue scan depth must be nonzero".into());
+        // The select logic issues and examines at most 32 entries a cycle.
+        for (name, v) in [
+            ("issue_width", self.issue_width),
+            ("issue_scan_depth", self.issue_scan_depth),
+        ] {
+            if !(1..=32).contains(&v) {
+                return Err(format!("{name} must be in 1..=32"));
+            }
         }
         if !self.bpred_entries.is_power_of_two() {
             return Err("bpred entries must be a power of two".into());
@@ -176,6 +183,28 @@ mod tests {
             ..CpuConfig::default()
         };
         cfg.validate();
+    }
+
+    #[test]
+    fn issue_width_is_limited_to_1_through_32() {
+        for (width, ok) in [(0, false), (1, true), (32, true), (33, false), (40, false)] {
+            let cfg = CpuConfig {
+                issue_width: width,
+                ..CpuConfig::default()
+            };
+            assert_eq!(cfg.try_validate().is_ok(), ok, "issue_width {width}");
+        }
+    }
+
+    #[test]
+    fn issue_scan_depth_is_limited_to_1_through_32() {
+        for (depth, ok) in [(0, false), (1, true), (32, true), (33, false)] {
+            let cfg = CpuConfig {
+                issue_scan_depth: depth,
+                ..CpuConfig::default()
+            };
+            assert_eq!(cfg.try_validate().is_ok(), ok, "issue_scan_depth {depth}");
+        }
     }
 
     #[test]

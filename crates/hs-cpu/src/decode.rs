@@ -32,85 +32,85 @@ const HALT: u8 = 1 << 5;
 /// issue/writeback/commit stages ask about, in one word. Carried by value
 /// in every RUU entry, so it stays deliberately tiny.
 #[derive(Debug, Clone, Copy)]
-pub struct ExecMeta {
+pub(crate) struct ExecMeta {
     flags: u8,
     /// Functional-unit class occupied at issue.
-    pub fu: FuClass,
+    pub(crate) fu: FuClass,
     /// Execution latency in cycles (memory ops add cache latency).
-    pub latency: u8,
+    pub(crate) latency: u8,
     /// Integer register-file read ports occupied (zero-reg reads included).
-    pub int_reg_reads: u8,
+    pub(crate) int_reg_reads: u8,
     /// FP register-file read ports occupied.
-    pub fp_reg_reads: u8,
+    pub(crate) fp_reg_reads: u8,
     /// Integer register-file write ports occupied.
-    pub int_reg_writes: u8,
+    pub(crate) int_reg_writes: u8,
     /// FP register-file write ports occupied.
-    pub fp_reg_writes: u8,
+    pub(crate) fp_reg_writes: u8,
 }
 
 impl ExecMeta {
     /// Whether this is a memory access.
     #[must_use]
-    pub fn is_mem(&self) -> bool {
+    pub(crate) fn is_mem(&self) -> bool {
         self.flags & MEM != 0
     }
 
     /// Whether this is a load.
     #[must_use]
-    pub fn is_load(&self) -> bool {
+    pub(crate) fn is_load(&self) -> bool {
         self.flags & LOAD != 0
     }
 
     /// Whether this is a store.
     #[must_use]
-    pub fn is_store(&self) -> bool {
+    pub(crate) fn is_store(&self) -> bool {
         self.flags & STORE != 0
     }
 
     /// Whether this is a control-flow instruction.
     #[must_use]
-    pub fn is_control(&self) -> bool {
+    pub(crate) fn is_control(&self) -> bool {
         self.flags & CONTROL != 0
     }
 
     /// Whether this is a conditional branch.
     #[must_use]
-    pub fn is_cond_branch(&self) -> bool {
+    pub(crate) fn is_cond_branch(&self) -> bool {
         self.flags & COND_BRANCH != 0
     }
 
     /// Whether this instruction halts the thread.
     #[must_use]
-    pub fn is_halt(&self) -> bool {
+    pub(crate) fn is_halt(&self) -> bool {
         self.flags & HALT != 0
     }
 }
 
 /// Flattened decode of one instruction. See the module docs.
 #[derive(Debug, Clone, Copy)]
-pub struct InstMeta {
+pub(crate) struct InstMeta {
     /// The post-dispatch subset (see [`ExecMeta`]).
-    pub exec: ExecMeta,
+    pub(crate) exec: ExecMeta,
     /// Dependence-carrying integer sources: the non-zero source registers in
     /// operand order (reads of the hard-wired zero register occupy a port
     /// but never wait on a producer).
-    pub int_deps: [Option<IntReg>; 2],
+    pub(crate) int_deps: [Option<IntReg>; 2],
     /// Dependence-carrying FP sources, in operand order.
-    pub fp_deps: [Option<FpReg>; 2],
+    pub(crate) fp_deps: [Option<FpReg>; 2],
     /// Integer destination register, if any (never the zero register).
-    pub int_dest: Option<IntReg>,
+    pub(crate) int_dest: Option<IntReg>,
     /// FP destination register, if any.
-    pub fp_dest: Option<FpReg>,
+    pub(crate) fp_dest: Option<FpReg>,
     /// Direct branch/jump target. Only meaningful when
     /// [`ExecMeta::is_control`] holds (all control flow in this ISA is
     /// direct); `InstIndex(0)` otherwise.
-    pub target: InstIndex,
+    pub(crate) target: InstIndex,
 }
 
 impl InstMeta {
     /// Decodes `inst` through its public accessors.
     #[must_use]
-    pub fn of(inst: &Instruction) -> Self {
+    pub(crate) fn of(inst: &Instruction) -> Self {
         let mut flags = 0u8;
         for (bit, set) in [
             (MEM, inst.is_mem()),
@@ -153,44 +153,8 @@ impl InstMeta {
     /// Decodes every instruction of `program`, indexable by
     /// [`hs_isa::InstIndex`] position.
     #[must_use]
-    pub fn table(program: &Program) -> Vec<InstMeta> {
+    pub(crate) fn table(program: &Program) -> Vec<InstMeta> {
         program.iter().map(|(_, inst)| InstMeta::of(inst)).collect()
-    }
-
-    /// Whether this is a memory access.
-    #[must_use]
-    pub fn is_mem(&self) -> bool {
-        self.exec.is_mem()
-    }
-
-    /// Whether this is a load.
-    #[must_use]
-    pub fn is_load(&self) -> bool {
-        self.exec.is_load()
-    }
-
-    /// Whether this is a store.
-    #[must_use]
-    pub fn is_store(&self) -> bool {
-        self.exec.is_store()
-    }
-
-    /// Whether this is a control-flow instruction.
-    #[must_use]
-    pub fn is_control(&self) -> bool {
-        self.exec.is_control()
-    }
-
-    /// Whether this is a conditional branch.
-    #[must_use]
-    pub fn is_cond_branch(&self) -> bool {
-        self.exec.is_cond_branch()
-    }
-
-    /// Whether this instruction halts the thread.
-    #[must_use]
-    pub fn is_halt(&self) -> bool {
-        self.exec.is_halt()
     }
 }
 
@@ -248,12 +212,12 @@ mod tests {
     fn meta_agrees_with_accessors_for_every_kind() {
         for inst in all_kinds() {
             let m = InstMeta::of(&inst);
-            assert_eq!(m.is_mem(), inst.is_mem(), "{inst}");
-            assert_eq!(m.is_load(), inst.is_load(), "{inst}");
-            assert_eq!(m.is_store(), inst.is_store(), "{inst}");
-            assert_eq!(m.is_control(), inst.is_control(), "{inst}");
-            assert_eq!(m.is_cond_branch(), inst.is_cond_branch(), "{inst}");
-            assert_eq!(m.is_halt(), inst.is_halt(), "{inst}");
+            assert_eq!(m.exec.is_mem(), inst.is_mem(), "{inst}");
+            assert_eq!(m.exec.is_load(), inst.is_load(), "{inst}");
+            assert_eq!(m.exec.is_store(), inst.is_store(), "{inst}");
+            assert_eq!(m.exec.is_control(), inst.is_control(), "{inst}");
+            assert_eq!(m.exec.is_cond_branch(), inst.is_cond_branch(), "{inst}");
+            assert_eq!(m.exec.is_halt(), inst.is_halt(), "{inst}");
             assert_eq!(m.exec.fu, inst.fu_class(), "{inst}");
             assert_eq!(u32::from(m.exec.latency), inst.latency(), "{inst}");
             assert_eq!(

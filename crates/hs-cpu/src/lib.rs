@@ -47,18 +47,16 @@
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
-pub mod bpred;
+mod bpred;
 pub mod config;
-pub mod decode;
+mod decode;
 pub mod phase;
 pub mod pipeline;
 pub mod resources;
 pub mod stats;
-pub mod thread;
+mod thread;
 
-pub use bpred::BranchPredictor;
 pub use config::{CpuConfig, FetchPolicy};
-pub use decode::{ExecMeta, InstMeta};
 pub use phase::{IntervalDriver, PhaseSample};
 pub use pipeline::{Cpu, FetchGate};
 pub use resources::{

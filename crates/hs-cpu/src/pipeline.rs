@@ -60,7 +60,7 @@ impl FetchGate {
 }
 
 /// Sentinel for the intrusive consumer-list links and the last-writer
-/// tables: `u64::MAX` never collides with a real `seq << 1 | slot`
+/// tables: `u64::MAX` never collides with a real `seq << 1 | link`
 /// encoding or sequence number. A plain sentinel keeps [`RuuEntry`] and the
 /// per-thread writer tables half the size of their `Option<u64>` forms —
 /// these are the hottest records in the machine.
@@ -89,11 +89,10 @@ struct RuuEntry {
     /// Producers this entry still waits on (wakeup counter).
     pending: u8,
     /// Head of this entry's intrusive consumer list: `consumer_seq << 1 |
-    /// dep_slot`. Walked at completion to decrement consumers' `pending`.
+    /// link`. Walked at completion to decrement consumers' `pending`.
     consumer_head: u64,
-    /// Per-dep-slot link to the next consumer of the same producer.
+    /// Per-dependence link to the next consumer of the same producer.
     next_consumer: [u64; 2],
-    complete_cycle: u64,
     /// Cache latency (beyond the 1-cycle AGU) for memory operations.
     mem_latency: u32,
     /// For control instructions: the architecturally correct next PC.
@@ -104,44 +103,19 @@ struct RuuEntry {
     branch_taken: Option<bool>,
 }
 
-/// Functional-unit budget for one issue cycle.
-#[derive(Debug, Clone, Copy)]
-struct FuBudget {
-    int_alu: u32,
-    int_mul: u32,
-    fp_add: u32,
-    fp_mul: u32,
-    mem_port: u32,
-}
+/// Unit pools an instruction can issue to: integer ALUs, multipliers, FP
+/// adders, FP multipliers, memory ports, and no unit at all.
+const NUM_POOLS: usize = 6;
 
-impl FuBudget {
-    fn new(cfg: &CpuConfig) -> Self {
-        FuBudget {
-            int_alu: cfg.int_alus,
-            int_mul: cfg.int_muls,
-            fp_add: cfg.fp_adds,
-            fp_mul: cfg.fp_muls,
-            mem_port: cfg.mem_ports,
-        }
-    }
-
-    /// Tries to reserve a unit for `class`; returns whether it succeeded.
-    fn try_take(&mut self, class: FuClass) -> bool {
-        let slot = match class {
-            // Branches execute on the integer ALU pool.
-            FuClass::IntAlu | FuClass::Branch => &mut self.int_alu,
-            FuClass::IntMul => &mut self.int_mul,
-            FuClass::FpAdd => &mut self.fp_add,
-            FuClass::FpMul => &mut self.fp_mul,
-            FuClass::MemPort => &mut self.mem_port,
-            FuClass::None => return true,
-        };
-        if *slot == 0 {
-            false
-        } else {
-            *slot -= 1;
-            true
-        }
+/// The unit pool of `class`. Branches execute on the integer ALU pool.
+fn pool(class: FuClass) -> usize {
+    match class {
+        FuClass::IntAlu | FuClass::Branch => 0,
+        FuClass::IntMul => 1,
+        FuClass::FpAdd => 2,
+        FuClass::FpMul => 3,
+        FuClass::MemPort => 4,
+        FuClass::None => 5,
     }
 }
 
@@ -155,7 +129,24 @@ pub struct Cpu {
     threads: Vec<ThreadContext>,
     hierarchy: MemoryHierarchy,
     bpred: BranchPredictor,
-    ruu: VecDeque<RuuEntry>,
+    /// The window: a ring holding entry `seq` at slot `seq & mask` while
+    /// `front_seq <= seq < next_seq`. Committed entries stay behind as
+    /// tombstones until the ring head drains past them, so the span
+    /// outgrows `ruu_size` when one thread's old entry holds the head; the
+    /// ring then doubles. Slots are pushed on first use, so the length may
+    /// trail the capacity `mask + 1`.
+    ruu: Vec<RuuEntry>,
+    /// Unit pool of each slot's entry, for the select walk.
+    pools: Vec<u8>,
+    /// One bit per slot, set while its entry is `Waiting` with no pending
+    /// producer: the ready set issue selects from.
+    ready: Vec<u64>,
+    /// Set bits of `ready` per unit pool.
+    ready_count: [u32; NUM_POOLS],
+    /// Units per pool for one issue cycle; instructions that need no unit
+    /// are limited only by the issue width.
+    units: [u32; NUM_POOLS],
+    mask: u64,
     /// Per-thread program-order queues of RUU sequence numbers; commit is
     /// per-thread in-order (SMT retirement), not global-order — otherwise
     /// one thread's L2 miss at the ring head would freeze every other
@@ -163,6 +154,9 @@ pub struct Cpu {
     thread_order: [VecDeque<u64>; MAX_THREADS],
     front_seq: u64,
     next_seq: u64,
+    /// `(cycle + 1) % threads`: the thread the next cycle's dispatch
+    /// serves first, rotating for fairness.
+    dispatch_first: usize,
     /// Live (uncommitted) RUU entries; this, not the ring length, is what
     /// the RUU capacity limits.
     ruu_live: u32,
@@ -178,26 +172,10 @@ pub struct Cpu {
     /// processing order (and thus predictor-update order) is unchanged,
     /// while most instructions never pay a heap push/pop.
     completions_next: Vec<u64>,
-    /// Entries whose dependences resolved at dispatch this cycle; they may
-    /// issue from the *next* cycle on, so issue drains this bucket into
-    /// `ready` at the top of every cycle. A wake-up is only ever due one
-    /// cycle out (writeback wake-ups are due the same cycle and go straight
-    /// into `ready`), so a plain vector replaces a time-keyed heap.
-    ready_next: Vec<u64>,
-    /// Ready-to-issue entries, oldest (smallest seq) first.
-    ready: std::collections::BinaryHeap<std::cmp::Reverse<u64>>,
-    /// Ready entries the select scan examined but could not issue (their
-    /// unit was busy). Kept sorted ascending and min-merged with `ready`
-    /// each cycle, so a structurally stalled window re-examines them
-    /// without any heap pop/re-push churn.
-    ready_stash: Vec<u64>,
-    /// Spare buffer swapped with `ready_stash` each issue cycle.
-    stash_scratch: Vec<u64>,
-    /// Run the retained naive issue path instead of the optimized one;
-    /// exists only so differential tests can prove bit-identity.
+    /// Select through the oracle [`Cpu::issue_reference`] instead of the
+    /// ready bitmap; exists only so differential tests can prove
+    /// bit-identity.
     reference_issue: bool,
-    redirect_scratch: Vec<(ThreadId, u64, InstIndex)>,
-    bpred_scratch: Vec<(ThreadId, u64, bool)>,
     events: AccessMatrix,
     last_writer_int: [[u64; hs_isa::NUM_INT_REGS]; MAX_THREADS],
     last_writer_fp: [[u64; hs_isa::NUM_FP_REGS]; MAX_THREADS],
@@ -212,27 +190,36 @@ impl Cpu {
     #[must_use]
     pub fn new(cfg: CpuConfig, mem_cfg: MemConfig) -> Self {
         cfg.validate();
+        // A whole number of bitmap words, and room for a full RUU.
+        let capacity = cfg.ruu_size.next_power_of_two().max(64) as usize;
         Cpu {
             cfg,
             threads: Vec::new(),
             hierarchy: MemoryHierarchy::new(mem_cfg),
             bpred: BranchPredictor::new(cfg.bpred_entries),
-            ruu: VecDeque::with_capacity(cfg.ruu_size as usize),
+            ruu: Vec::with_capacity(capacity),
+            pools: Vec::with_capacity(capacity),
+            ready: vec![0; capacity / 64],
+            ready_count: [0; NUM_POOLS],
+            units: [
+                cfg.int_alus,
+                cfg.int_muls,
+                cfg.fp_adds,
+                cfg.fp_muls,
+                cfg.mem_ports,
+                u32::MAX,
+            ],
+            mask: capacity as u64 - 1,
             thread_order: std::array::from_fn(|_| VecDeque::new()),
             front_seq: 0,
             next_seq: 0,
+            dispatch_first: 0,
             ruu_live: 0,
             lsq_occupancy: 0,
             cycle: 0,
             completions: std::collections::BinaryHeap::new(),
             completions_next: Vec::new(),
-            ready_next: Vec::new(),
-            ready: std::collections::BinaryHeap::new(),
-            ready_stash: Vec::new(),
-            stash_scratch: Vec::new(),
             reference_issue: false,
-            redirect_scratch: Vec::new(),
-            bpred_scratch: Vec::new(),
             events: AccessMatrix::new(),
             last_writer_int: [[NO_LINK; hs_isa::NUM_INT_REGS]; MAX_THREADS],
             last_writer_fp: [[NO_LINK; hs_isa::NUM_FP_REGS]; MAX_THREADS],
@@ -252,6 +239,7 @@ impl Cpu {
         );
         let id = ThreadId(self.threads.len() as u8);
         self.threads.push(ThreadContext::new(id, program));
+        self.dispatch_first = ((self.cycle + 1) % self.threads.len() as u64) as usize;
         id
     }
 
@@ -364,18 +352,16 @@ impl Cpu {
             }
             order.clear();
         }
-        // Step 2: squash. Clearing the ring with `front_seq = next_seq`
+        // Step 2: squash. Emptying the ring with `front_seq = next_seq`
         // keeps sequence numbers monotone; stale seqs in the last-writer
         // tables fall below `front_seq` and read as already-committed.
-        self.ruu.clear();
         self.front_seq = self.next_seq;
+        self.ready.fill(0);
+        self.ready_count = [0; NUM_POOLS];
         self.ruu_live = 0;
         self.lsq_occupancy = 0;
         self.completions.clear();
         self.completions_next.clear();
-        self.ready_next.clear();
-        self.ready.clear();
-        self.ready_stash.clear();
         for t in &mut self.threads {
             t.fetch_queue.clear();
             t.icount = 0;
@@ -429,9 +415,10 @@ impl Cpu {
         });
     }
 
-    /// Routes every subsequent cycle's issue stage through the retained
-    /// naive implementation ([`Cpu::issue_reference`]). Differential tests
-    /// only; the optimized path is the default and must stay bit-identical.
+    /// Routes every subsequent cycle's issue stage through the select
+    /// oracle (`Cpu::issue_reference`) and turns idle skipping off.
+    /// Differential tests only; the bitmap select is the default and must
+    /// stay bit-identical.
     #[doc(hidden)]
     pub fn set_reference_issue(&mut self, on: bool) {
         self.reference_issue = on;
@@ -486,27 +473,21 @@ impl Cpu {
             return None;
         }
         // Commit acts now on an undrained tombstone or a completed head.
-        if matches!(
-            self.ruu.front().map(|e| e.state),
-            Some(EntryState::Committed)
-        ) {
+        if self.front_seq < self.next_seq
+            && self.ruu[self.slot(self.front_seq)].state == EntryState::Committed
+        {
             return None;
         }
         for ti in 0..self.threads.len() {
             if let Some(&seq) = self.thread_order[ti].front() {
-                if self.ruu[(seq - self.front_seq) as usize].state == EntryState::Completed {
+                if self.ruu[self.slot(seq)].state == EntryState::Completed {
                     return None;
                 }
             }
         }
-        // Issue selects from anything already ready on the next tick, and
-        // promotes (then selects from) dispatch wake-ups one cycle out;
-        // bucketed completions fire next cycle as well.
-        if !self.ready.is_empty()
-            || !self.ready_stash.is_empty()
-            || !self.ready_next.is_empty()
-            || !self.completions_next.is_empty()
-        {
+        // Issue selects from anything ready on the next tick; bucketed
+        // completions fire next cycle as well.
+        if self.ready_count != [0; NUM_POOLS] || !self.completions_next.is_empty() {
             return None;
         }
         let mut bound = u64::MAX;
@@ -528,7 +509,7 @@ impl Cpu {
                 if head.index != t.next_dispatch_pc {
                     return None; // would flush-refetch
                 }
-                let head_is_mem = t.metas[head.index.as_usize()].is_mem();
+                let head_is_mem = t.metas[head.index.as_usize()].exec.is_mem();
                 if !(head_is_mem && self.lsq_occupancy >= self.cfg.lsq_size) {
                     return None; // would dispatch
                 }
@@ -559,6 +540,9 @@ impl Cpu {
     /// same `gate`.
     pub fn skip_idle_cycles(&mut self, gate: FetchGate, n: u64) {
         self.cycle += n;
+        if !self.threads.is_empty() {
+            self.dispatch_first = ((self.cycle + 1) % self.threads.len() as u64) as usize;
+        }
         for t in &mut self.threads {
             if gate.is_gated(t.id) {
                 t.stats.gated_cycles += n;
@@ -566,55 +550,122 @@ impl Cpu {
         }
     }
 
-    /// Looks up a live RUU entry by sequence number. `None` means the entry
-    /// has already committed (dependence satisfied).
+    /// The ring slot of sequence number `seq`.
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
+    }
+
+    /// Looks up an RUU entry by the sequence number of a dispatched
+    /// instruction. `None` means the entry has already committed
+    /// (dependence satisfied).
     fn entry(&self, seq: u64) -> Option<&RuuEntry> {
-        if seq < self.front_seq {
-            return None;
+        (seq >= self.front_seq).then(|| &self.ruu[self.slot(seq)])
+    }
+
+    /// Adds the entry in `slot` to the ready set.
+    fn mark_ready(&mut self, slot: usize) {
+        self.ready[slot / 64] |= 1 << (slot % 64);
+        self.ready_count[usize::from(self.pools[slot])] += 1;
+    }
+
+    /// Doubles the ring. Entry `seq` moves from slot `seq & mask` to `seq &
+    /// (2 * mask + 1)`: the same slot or the one a capacity above it. The
+    /// entries that move are those of the first `keep` slots, so copying
+    /// those slots to the top half places them, and the ring grows no
+    /// further than its highest occupied slot.
+    fn grow_window(&mut self) {
+        let capacity = self.mask + 1;
+        debug_assert_eq!(
+            self.ruu.len() as u64,
+            capacity,
+            "a full ring used every slot"
+        );
+        let keep = if self.front_seq & capacity == 0 {
+            self.slot(self.front_seq)
+        } else {
+            capacity as usize
+        };
+        self.ruu.extend_from_within(..keep);
+        self.pools.extend_from_within(..keep);
+        self.mask = 2 * capacity - 1;
+        self.ready = vec![0; 2 * capacity as usize / 64];
+        self.ready_count = [0; NUM_POOLS];
+        for seq in self.front_seq..self.next_seq {
+            let slot = self.slot(seq);
+            let e = &self.ruu[slot];
+            if e.state == EntryState::Waiting && e.pending == 0 {
+                self.mark_ready(slot);
+            }
         }
-        self.ruu.get((seq - self.front_seq) as usize)
+    }
+
+    /// Debug check of the ready set: every set bit names a live `Waiting`
+    /// entry with no pending producer, and each pool's count equals its set
+    /// bits.
+    fn ready_set_is_consistent(&self) -> bool {
+        let mut counts = [0u32; NUM_POOLS];
+        for (w, &word) in self.ready.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let Some(e) = self.ruu.get(slot) else {
+                    return false;
+                };
+                if !(self.front_seq..self.next_seq).contains(&e.seq)
+                    || self.slot(e.seq) != slot
+                    || e.state != EntryState::Waiting
+                    || e.pending != 0
+                {
+                    return false;
+                }
+                counts[usize::from(self.pools[slot])] += 1;
+            }
+        }
+        counts == self.ready_count
     }
 
     fn commit(&mut self) {
         // Per-thread in-order retirement, round-robin across threads up to
         // the shared commit width.
         let mut budget = self.cfg.commit_width;
+        let mut retired = [0u32; MAX_THREADS];
+        let mut mem_ops = 0;
         let nthreads = self.threads.len();
-        let mut progressed = true;
-        while budget > 0 && progressed {
-            progressed = false;
-            for ti in 0..nthreads {
-                if budget == 0 {
-                    break;
-                }
-                let Some(&seq) = self.thread_order[ti].front() else {
+        'passes: loop {
+            let mut progressed = false;
+            for (order, n) in self.thread_order[..nthreads].iter_mut().zip(&mut retired) {
+                let Some(&seq) = order.front() else {
                     continue;
                 };
-                let idx = (seq - self.front_seq) as usize;
-                let e = &mut self.ruu[idx];
+                let e = &mut self.ruu[(seq & self.mask) as usize];
                 if e.state != EntryState::Completed {
                     continue;
                 }
                 e.state = EntryState::Committed;
-                let is_mem = e.meta.is_mem();
-                self.thread_order[ti].pop_front();
-                let t = &mut self.threads[ti];
-                t.stats.committed += 1;
-                t.icount -= 1;
-                self.ruu_live -= 1;
-                if is_mem {
-                    self.lsq_occupancy -= 1;
-                }
-                budget -= 1;
+                mem_ops += u32::from(e.meta.is_mem());
+                order.pop_front();
+                *n += 1;
                 progressed = true;
+                budget -= 1;
+                if budget == 0 {
+                    break 'passes;
+                }
+            }
+            if !progressed {
+                break;
             }
         }
+        for (t, &n) in self.threads.iter_mut().zip(&retired) {
+            t.stats.committed += u64::from(n);
+            t.icount -= n;
+            self.ruu_live -= n;
+        }
+        self.lsq_occupancy -= mem_ops;
         // Drain committed tombstones past the ring head.
-        while matches!(
-            self.ruu.front().map(|e| e.state),
-            Some(EntryState::Committed)
-        ) {
-            self.ruu.pop_front();
+        while self.front_seq < self.next_seq
+            && self.ruu[self.slot(self.front_seq)].state == EntryState::Committed
+        {
             self.front_seq += 1;
         }
     }
@@ -630,10 +681,6 @@ impl Cpu {
         if self.completions_next.is_empty() && !heap_due {
             return;
         }
-        let mut redirects = std::mem::take(&mut self.redirect_scratch);
-        let mut bpred_updates = std::mem::take(&mut self.bpred_scratch);
-        redirects.clear();
-        bpred_updates.clear();
         // Min-merge the due-now bucket (sorted ascending) with the due heap
         // entries: completions process in ascending seq order exactly as the
         // (when, seq) heap alone would order them.
@@ -655,52 +702,38 @@ impl Cpu {
                 };
                 s
             };
-            let idx = (seq - self.front_seq) as usize;
-            let e = &mut self.ruu[idx];
+            let slot = self.slot(seq);
+            let e = &mut self.ruu[slot];
             debug_assert_eq!(e.state, EntryState::Issued);
             e.state = EntryState::Completed;
             let tid = e.thread;
             // Wake this producer's consumers (intrusive list walk).
             let mut cur = std::mem::replace(&mut e.consumer_head, NO_LINK);
             while cur != NO_LINK {
-                let enc = cur;
-                let cseq = enc >> 1;
-                let slot = (enc & 1) as usize;
-                let cidx = (cseq - self.front_seq) as usize;
-                let c = &mut self.ruu[cidx];
-                cur = std::mem::replace(&mut c.next_consumer[slot], NO_LINK);
+                let cslot = self.slot(cur >> 1);
+                let c = &mut self.ruu[cslot];
+                cur = std::mem::replace(&mut c.next_consumer[(cur & 1) as usize], NO_LINK);
                 c.pending -= 1;
                 if c.pending == 0 {
                     // Completed during this cycle's writeback: eligible to
                     // issue this very cycle (issue runs after writeback).
-                    self.ready.push(std::cmp::Reverse(cseq));
+                    self.mark_ready(cslot);
                 }
             }
-            let e = &mut self.ruu[idx];
+            let e = &self.ruu[slot];
             self.events
                 .add(tid, Resource::IntRegFile, u64::from(e.meta.int_reg_writes));
             self.events
                 .add(tid, Resource::FpRegFile, u64::from(e.meta.fp_reg_writes));
-            if let Some(taken) = e.branch_taken {
-                let addr = self.threads[tid.index()].program.inst_addr(e.index);
-                bpred_updates.push((tid, addr, taken));
-            }
-            if e.mispredicted {
-                redirects.push((tid, e.seq, e.actual_next));
-            }
-        }
-        bucket.clear();
-        self.completions_next = bucket;
-        for &(tid, addr, taken) in &bpred_updates {
-            self.bpred.update(addr, taken);
-            self.events.add(tid, Resource::Bpred, 1);
-        }
-        for &(tid, seq, next) in &redirects {
-            let penalty = u64::from(self.cfg.mispredict_redirect_penalty);
             let t = &mut self.threads[tid.index()];
-            if t.redirect_wait == Some(seq) {
+            if let Some(taken) = e.branch_taken {
+                self.bpred.update(t.program.inst_addr(e.index), taken);
+                self.events.add(tid, Resource::Bpred, 1);
+            }
+            if e.mispredicted && t.redirect_wait == Some(seq) {
                 t.redirect_wait = None;
-                t.fetch_pc = next;
+                t.fetch_pc = e.actual_next;
+                let penalty = u64::from(self.cfg.mispredict_redirect_penalty);
                 t.fetch_stall_until = t.fetch_stall_until.max(cycle + penalty);
                 // Wrong-path fetch may have run off the program end and
                 // marked the thread halted; the redirect revives it. (A
@@ -710,167 +743,119 @@ impl Cpu {
                 t.halted = false;
             }
         }
-        self.redirect_scratch = redirects;
-        self.bpred_scratch = bpred_updates;
+        bucket.clear();
+        self.completions_next = bucket;
     }
 
+    /// Selects up to `issue_width` ready entries, oldest first, among the
+    /// first `issue_scan_depth` ready entries of the window: an entry whose
+    /// unit pool is exhausted is examined but not issued. The walk goes
+    /// over the set bits of `ready` from the front slot, wrapping at the
+    /// ring's end, and stops once no pool that still has a free unit has an
+    /// unexamined ready entry: the rest of the scan could only be rejected.
+    /// Issuing a slot during the walk changes nothing the walk reads.
     fn issue(&mut self) {
-        // Fast path: nothing is ready and nothing woke up — common on
-        // memory-stall and sedated cycles.
-        if self.ready.is_empty() && self.ready_stash.is_empty() && self.ready_next.is_empty() {
+        debug_assert!(self.ready_set_is_consistent(), "ready set out of step");
+        let mut want = 0u8; // pools with a free unit and an unexamined entry
+        for p in 0..NUM_POOLS {
+            if self.units[p] > 0 && self.ready_count[p] > 0 {
+                want |= 1 << p;
+            }
+        }
+        if want == 0 {
             return;
         }
-        let mut budget = self.cfg.issue_width.min(32);
-        let mut pops = self.cfg.issue_scan_depth;
-        let mut fus = FuBudget::new(&self.cfg);
-        let mut selected = [0usize; 32];
-        let mut nselected = 0usize;
-        // Entries examined but not issued this cycle (their unit was busy);
-        // they stay ready. Instead of re-pushing them into the heap — the
-        // dominant cost when a wide ready window contends for few units —
-        // they accumulate in a sorted side vector that the next cycle's
-        // scan min-merges with the heap. Last cycle's dispatch wake-ups
-        // (`ready_next`) are also already sorted, and every one of their
-        // seqs is strictly greater than every stash seq (the stash holds
-        // strictly earlier dispatches), so `prior ++ fresh` is one sorted
-        // stream and the dense-path majority never touches the heap at all.
-        // The candidate order is exactly the heap-only order: both walk
-        // ready seqs smallest-first.
-        let mut stash = std::mem::take(&mut self.stash_scratch);
-        let mut prior = std::mem::take(&mut self.ready_stash);
-        let mut fresh = std::mem::take(&mut self.ready_next);
-        let plen = prior.len();
-        let mut pos = 0usize; // cursor over the `prior ++ fresh` stream
-                              // Select oldest-ready first, bounded by the select depth.
-        while budget > 0 && pops > 0 {
-            let stream_head = if pos < plen {
-                Some(prior[pos])
-            } else {
-                fresh.get(pos - plen).copied()
-            };
-            let from_stream = match (stream_head, self.ready.peek()) {
-                (Some(s), Some(&std::cmp::Reverse(h))) => s < h,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let seq = if from_stream {
-                let s = stream_head.expect("from_stream implies a head");
-                pos += 1;
-                s
-            } else {
-                let Some(std::cmp::Reverse(seq)) = self.ready.pop() else {
-                    break;
-                };
-                seq
-            };
-            pops -= 1;
-            let i = (seq - self.front_seq) as usize;
-            debug_assert_eq!(self.ruu[i].state, EntryState::Waiting);
-            if !fus.try_take(self.ruu[i].meta.fu) {
-                stash.push(seq);
-                if stash.len() == 32 {
-                    break;
-                }
-                continue;
+        let mut free = self.units;
+        let mut left = self.ready_count;
+        let mut budget = self.cfg.issue_width;
+        let mut depth = self.cfg.issue_scan_depth;
+        let front = self.slot(self.front_seq);
+        let words = self.ready.len();
+        'walk: for k in 0..=words {
+            let w = (front / 64 + k) & (words - 1);
+            let mut bits = self.ready[w];
+            if k == 0 {
+                bits &= u64::MAX << (front % 64);
+            } else if k == words {
+                bits &= (1 << (front % 64)) - 1;
             }
-            selected[nselected] = i;
-            nselected += 1;
-            budget -= 1;
+            while bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let p = usize::from(self.pools[slot]);
+                depth -= 1;
+                left[p] -= 1;
+                if free[p] > 0 {
+                    free[p] -= 1;
+                    budget -= 1;
+                    self.issue_slot(slot);
+                }
+                if free[p] == 0 || left[p] == 0 {
+                    want &= !(1 << p);
+                }
+                if want == 0 || budget == 0 || depth == 0 {
+                    break 'walk;
+                }
+            }
         }
-        // Unexamined leftovers are all larger than every examined seq, so
-        // appending them keeps the stash sorted.
-        if pos < plen {
-            stash.extend_from_slice(&prior[pos..]);
-            stash.extend_from_slice(&fresh);
-        } else {
-            stash.extend_from_slice(&fresh[pos - plen..]);
-        }
-        prior.clear();
-        fresh.clear();
-        self.ready_next = fresh;
-        self.stash_scratch = prior;
-        self.ready_stash = stash;
-
-        self.issue_selected(&selected[..nselected]);
     }
 
-    /// The pre-optimization issue stage, retained verbatim so differential
-    /// tests can prove the deferred-drain scan selects identically. Drains
-    /// any deferred stash into the heap first (empty in steady reference
-    /// use), then runs the original pop/re-push select loop.
-    #[doc(hidden)]
-    pub fn issue_reference(&mut self) {
-        for seq in std::mem::take(&mut self.ready_stash) {
-            self.ready.push(std::cmp::Reverse(seq));
-        }
-        for seq in self.ready_next.drain(..) {
-            self.ready.push(std::cmp::Reverse(seq));
-        }
-
-        let mut budget = self.cfg.issue_width.min(32);
-        let mut pops = self.cfg.issue_scan_depth;
-        let mut fus = FuBudget::new(&self.cfg);
-        let mut selected = [0usize; 32];
-        let mut nselected = 0usize;
-        // Entries popped but not issued (their unit was busy); they stay
-        // ready and return to the pool after selection.
-        let mut stash = [0u64; 32];
-        let mut nstash = 0usize;
-        // Select oldest-ready first, bounded by the select depth.
-        while budget > 0 && pops > 0 {
-            let Some(std::cmp::Reverse(seq)) = self.ready.pop() else {
+    /// The select oracle for differential tests: a plain walk over the
+    /// live window in seq order that applies the same width, depth and
+    /// pool rules to every `Waiting` entry with no pending producer,
+    /// without reading the ready bitmap or the pool bytes.
+    fn issue_reference(&mut self) {
+        let mut free = self.units;
+        let mut budget = self.cfg.issue_width;
+        let mut depth = self.cfg.issue_scan_depth;
+        for seq in self.front_seq..self.next_seq {
+            if budget == 0 || depth == 0 {
                 break;
-            };
-            pops -= 1;
-            let i = (seq - self.front_seq) as usize;
-            debug_assert_eq!(self.ruu[i].state, EntryState::Waiting);
-            if !fus.try_take(self.ruu[i].meta.fu) {
-                stash[nstash] = seq;
-                nstash += 1;
-                if nstash == stash.len() {
-                    break;
-                }
+            }
+            let e = &self.ruu[self.slot(seq)];
+            if e.state != EntryState::Waiting || e.pending != 0 {
                 continue;
             }
-            selected[nselected] = i;
-            nselected += 1;
-            budget -= 1;
+            depth -= 1;
+            let p = pool(e.meta.fu);
+            if free[p] > 0 {
+                free[p] -= 1;
+                budget -= 1;
+                self.issue_slot(self.slot(seq));
+            }
         }
-        for &seq in &stash[..nstash] {
-            self.ready.push(std::cmp::Reverse(seq));
-        }
-
-        self.issue_selected(&selected[..nselected]);
     }
 
-    /// Phase 2 of issue: mark the selected window entries issued and
-    /// schedule their completions. Shared by both select implementations.
-    fn issue_selected(&mut self, selected: &[usize]) {
+    /// Issues the entry in `slot`: takes it out of the ready set, marks it
+    /// issued and schedules its completion. Shared by both select
+    /// implementations, which issue in ascending seq order.
+    #[inline(always)]
+    fn issue_slot(&mut self, slot: usize) {
+        debug_assert!(self.ready[slot / 64] & 1 << (slot % 64) != 0);
+        self.ready[slot / 64] &= !(1 << (slot % 64));
+        self.ready_count[usize::from(self.pools[slot])] -= 1;
         let cycle = self.cycle;
-        for &i in selected {
-            let e = &mut self.ruu[i];
-            e.state = EntryState::Issued;
-            e.complete_cycle = cycle + u64::from(e.meta.latency) + u64::from(e.mem_latency);
-            if e.complete_cycle == cycle + 1 {
-                // Selection order is ascending seq, so the bucket stays
-                // sorted by construction.
-                self.completions_next.push(e.seq);
-            } else {
-                self.completions
-                    .push(std::cmp::Reverse((e.complete_cycle, e.seq)));
-            }
-            let tid = e.thread;
-            let meta = e.meta;
-            self.threads[tid.index()].stats.issued += 1;
-            self.events.add(tid, Resource::IssueQueue, 1);
-            self.events
-                .add(tid, Resource::IntRegFile, u64::from(meta.int_reg_reads));
-            self.events
-                .add(tid, Resource::FpRegFile, u64::from(meta.fp_reg_reads));
-            if let Some(r) = crate::resources::fu_resource(meta.fu) {
-                self.events.add(tid, r, 1);
-            }
+        let e = &mut self.ruu[slot];
+        e.state = EntryState::Issued;
+        let complete_cycle = cycle + u64::from(e.meta.latency) + u64::from(e.mem_latency);
+        if complete_cycle == cycle + 1 {
+            // Issue order is ascending seq, so the bucket stays sorted by
+            // construction.
+            self.completions_next.push(e.seq);
+        } else {
+            self.completions
+                .push(std::cmp::Reverse((complete_cycle, e.seq)));
+        }
+        let tid = e.thread;
+        let meta = e.meta;
+        self.threads[tid.index()].stats.issued += 1;
+        self.events.add(tid, Resource::IssueQueue, 1);
+        self.events
+            .add(tid, Resource::IntRegFile, u64::from(meta.int_reg_reads));
+        self.events
+            .add(tid, Resource::FpRegFile, u64::from(meta.fp_reg_reads));
+        if let Some(r) = crate::resources::fu_resource(meta.fu) {
+            self.events.add(tid, r, 1);
         }
     }
 
@@ -880,14 +865,15 @@ impl Cpu {
         if nthreads == 0 {
             return;
         }
-        // Rotate the starting thread each cycle for fairness.
-        let start = (self.cycle as usize) % nthreads;
+        let start = self.dispatch_first;
+        self.dispatch_first = if start + 1 == nthreads { 0 } else { start + 1 };
         for k in 0..nthreads {
-            let ti = (start + k) % nthreads;
-            while budget > 0 {
-                if !self.dispatch_one(ti) {
-                    break;
-                }
+            let ti = if start + k < nthreads {
+                start + k
+            } else {
+                start + k - nthreads
+            };
+            while budget > 0 && self.dispatch_one(ti) {
                 budget -= 1;
             }
             if budget == 0 {
@@ -907,6 +893,7 @@ impl Cpu {
         }
         let cycle = self.cycle;
         let lsq_full = self.lsq_occupancy >= self.cfg.lsq_size;
+        let seq = self.next_seq;
         let t = &mut self.threads[ti];
         // Note: a halted thread may still have fetched instructions to
         // drain; `halted` only stops fetch.
@@ -927,23 +914,55 @@ impl Cpu {
         // The queue carries only indices; the instruction and its predecode
         // live in the context's tables.
         let meta = t.metas[head.index.as_usize()];
-        if meta.is_mem() && lsq_full {
+        if meta.exec.is_mem() && lsq_full {
             return false;
         }
         t.fetch_queue.pop_front();
         let tid = t.id;
 
         // Functional execution, in program order (SimpleScalar style).
-        let kind = *t
-            .program
-            .get(head.index)
-            .expect("fetched PCs are in range")
-            .kind();
-        let outcome = execute_one(&kind, head.index, &mut t.arch, &mut t.memory);
+        let inst = t.program.get(head.index).expect("fetched PCs are in range");
+        let outcome = execute_one(inst.kind(), head.index, &mut t.arch, &mut t.memory);
         t.next_dispatch_pc = outcome.next_pc;
         t.stats.dispatched += 1;
         self.events.add(tid, Resource::Rename, 1);
         self.events.add(tid, Resource::IssueQueue, 1);
+
+        // Memory access: consult the shared hierarchy now; its latency is
+        // charged when the op issues.
+        let mut mem_latency = 0;
+        if let Some(addr) = outcome.mem_addr {
+            let kind = if meta.exec.is_store() {
+                AccessKind::DataWrite
+            } else {
+                AccessKind::DataRead
+            };
+            let res = self.hierarchy.access(kind, phys_addr(tid, addr));
+            mem_latency = res.latency;
+            self.events.add(tid, Resource::L1D, 1);
+            if !res.l1_hit {
+                self.events.add(tid, Resource::L2, 1);
+            }
+            if res.is_l2_miss() && meta.exec.is_load() {
+                // Squash-on-L2-miss: stop dispatching from this thread until
+                // the miss returns so it cannot fill the shared RUU.
+                t.dispatch_block_until = cycle + u64::from(res.latency);
+                t.stats.l2_miss_squashes += 1;
+            }
+        }
+
+        // Control flow: detect mispredictions by comparing the fetch-time
+        // prediction with the architectural next PC.
+        let mispredicted = meta.exec.is_control() && head.predicted_next != outcome.next_pc;
+        if mispredicted {
+            t.stats.mispredicts += 1;
+            t.flush_fetch_queue();
+            t.redirect_wait = Some(seq);
+        }
+        if meta.exec.is_halt() {
+            t.halted = true;
+            t.flush_fetch_queue();
+        }
 
         // Dependences on in-flight producers: uncompleted producers get a
         // consumer-list registration (event-driven wakeup).
@@ -971,10 +990,6 @@ impl Cpu {
                 nproducers += 1;
             }
         }
-
-        let seq = self.next_seq;
-        self.next_seq += 1;
-
         if let Some(rd) = meta.int_dest {
             self.last_writer_int[ti][rd.index()] = seq;
         }
@@ -982,52 +997,25 @@ impl Cpu {
             self.last_writer_fp[ti][fd.index()] = seq;
         }
 
-        // Memory access: consult the shared hierarchy now; its latency is
-        // charged when the op issues.
-        let mut mem_latency = 0;
-        if let Some(addr) = outcome.mem_addr {
-            let kind = if meta.is_store() {
-                AccessKind::DataWrite
-            } else {
-                AccessKind::DataRead
-            };
-            let phys = phys_addr(tid, addr);
-            let res = self.hierarchy.access(kind, phys);
-            mem_latency = res.latency;
-            self.events.add(tid, Resource::L1D, 1);
-            if !res.l1_hit {
-                self.events.add(tid, Resource::L2, 1);
-            }
-            let t = &mut self.threads[ti];
-            if res.is_l2_miss() && meta.is_load() {
-                // Squash-on-L2-miss: stop dispatching from this thread until
-                // the miss returns so it cannot fill the shared RUU.
-                t.dispatch_block_until = cycle + u64::from(res.latency);
-                t.stats.l2_miss_squashes += 1;
-            }
+        if self.next_seq - self.front_seq > self.mask {
+            self.grow_window();
         }
-
-        // Control flow: detect mispredictions by comparing the fetch-time
-        // prediction with the architectural next PC.
-        let mispredicted = meta.is_control() && head.predicted_next != outcome.next_pc;
-        let t = &mut self.threads[ti];
-        if mispredicted {
-            t.stats.mispredicts += 1;
-            t.flush_fetch_queue();
-            t.redirect_wait = Some(seq);
-        }
-        if meta.is_halt() {
-            t.halted = true;
-            t.flush_fetch_queue();
-        }
-
-        if meta.is_mem() {
+        self.next_seq += 1;
+        if meta.exec.is_mem() {
             self.lsq_occupancy += 1;
         }
         self.ruu_live += 1;
         self.thread_order[ti].push_back(seq);
+        // Register on each live producer's consumer list (`link` = which of
+        // this entry's next_consumer links the producer's walk follows).
+        let mut next_consumer = [NO_LINK, NO_LINK];
+        for (link, &pseq) in producers.iter().flatten().enumerate() {
+            let pslot = self.slot(pseq);
+            next_consumer[link] =
+                std::mem::replace(&mut self.ruu[pslot].consumer_head, (seq << 1) | link as u64);
+        }
         let pending = producers.iter().flatten().count() as u8;
-        self.ruu.push_back(RuuEntry {
+        let entry = RuuEntry {
             seq,
             thread: tid,
             meta: meta.exec,
@@ -1035,25 +1023,24 @@ impl Cpu {
             state: EntryState::Waiting,
             pending,
             consumer_head: NO_LINK,
-            next_consumer: [NO_LINK, NO_LINK],
-            complete_cycle: 0,
+            next_consumer,
             mem_latency,
             actual_next: outcome.next_pc,
             mispredicted,
             branch_taken: outcome.branch_taken,
-        });
-        // Register on each live producer's consumer list (slot = which of
-        // this entry's next_consumer links the producer's walk follows).
-        for (slot, pseq) in producers.iter().flatten().enumerate() {
-            let pidx = (pseq - self.front_seq) as usize;
-            let old_head =
-                std::mem::replace(&mut self.ruu[pidx].consumer_head, (seq << 1) | slot as u64);
-            let my_idx = (seq - self.front_seq) as usize;
-            self.ruu[my_idx].next_consumer[slot] = old_head;
+        };
+        let slot = self.slot(seq);
+        let unit_pool = pool(meta.exec.fu) as u8;
+        if slot == self.ruu.len() {
+            self.ruu.push(entry);
+            self.pools.push(unit_pool);
+        } else {
+            self.ruu[slot] = entry;
+            self.pools[slot] = unit_pool;
         }
         if pending == 0 {
-            // Free to issue from the next cycle on.
-            self.ready_next.push(seq);
+            // Free to issue from the next cycle on (issue has run already).
+            self.mark_ready(slot);
         }
         true
     }
@@ -1097,19 +1084,18 @@ impl Cpu {
     fn fetch_thread(&mut self, ti: usize, mut budget: u32) -> u32 {
         let cycle = self.cycle;
         let line_bytes = self.hierarchy.config().l1i.line_bytes();
+        let queue_cap = self.cfg.fetch_queue_size;
+        let t = &mut self.threads[ti];
+        let tid = t.id;
         let mut current_line: Option<u64> = None;
-        while budget > 0 {
-            let t = &self.threads[ti];
-            if (t.fetch_queue.len() as u32) >= self.cfg.fetch_queue_size {
-                break;
-            }
+        let mut fetched = 0;
+        while budget > 0 && (t.fetch_queue.len() as u32) < queue_cap {
             let pc = t.fetch_pc;
-            let Some(&meta) = t.metas.get(pc.as_usize()) else {
+            let Some(meta) = t.metas.get(pc.as_usize()) else {
                 // Ran off the end of the program: treat as an implicit halt.
-                self.threads[ti].halted = true;
+                t.halted = true;
                 break;
             };
-            let tid = t.id;
             let addr = phys_addr(tid, t.program.inst_addr(pc));
             let line = addr & !(line_bytes - 1);
             if current_line != Some(line) {
@@ -1118,7 +1104,7 @@ impl Cpu {
                 if !res.l1_hit {
                     self.events.add(tid, Resource::L2, 1);
                     // The line isn't here: stall fetch until it arrives.
-                    self.threads[ti].fetch_stall_until = cycle + u64::from(res.latency);
+                    t.fetch_stall_until = cycle + u64::from(res.latency);
                     break;
                 }
                 current_line = Some(line);
@@ -1126,33 +1112,34 @@ impl Cpu {
 
             // Predict the next PC. Control flow in this ISA is always
             // direct, so the predecoded `meta.target` is the taken path.
-            let (predicted_next, ends_group) = if meta.is_cond_branch() {
+            let (predicted_next, ends_group) = if meta.exec.is_cond_branch() {
                 self.events.add(tid, Resource::Bpred, 1);
                 if self.bpred.predict(addr) {
                     (meta.target, true)
                 } else {
                     (pc.next(), false)
                 }
-            } else if meta.is_control() {
+            } else if meta.exec.is_control() {
                 (meta.target, true)
             } else {
                 (pc.next(), false)
             };
 
-            let t = &mut self.threads[ti];
             t.fetch_queue.push_back(FetchedInst {
                 index: pc,
                 predicted_next,
             });
-            t.icount += 1;
-            t.stats.fetched += 1;
             t.fetch_pc = predicted_next;
-            self.events.add(tid, Resource::FetchUnit, 1);
+            fetched += 1;
             budget -= 1;
             if ends_group {
                 break;
             }
         }
+        t.icount += fetched;
+        t.stats.fetched += u64::from(fetched);
+        self.events
+            .add(tid, Resource::FetchUnit, u64::from(fetched));
         budget
     }
 }

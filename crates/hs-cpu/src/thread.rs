@@ -17,53 +17,53 @@ use std::collections::VecDeque;
 /// queue shuttles handles instead of copying ~50-byte records through the
 /// `VecDeque` twice per instruction.
 #[derive(Debug, Clone, Copy)]
-pub struct FetchedInst {
+pub(crate) struct FetchedInst {
     /// The instruction's index in the program (keys both `program` and
     /// `metas`).
-    pub index: InstIndex,
+    pub(crate) index: InstIndex,
     /// The PC the fetch unit continued at after this instruction.
-    pub predicted_next: InstIndex,
+    pub(crate) predicted_next: InstIndex,
 }
 
 /// All state belonging to one SMT context.
 #[derive(Debug, Clone)]
-pub struct ThreadContext {
+pub(crate) struct ThreadContext {
     /// The context's identifier.
-    pub id: ThreadId,
+    pub(crate) id: ThreadId,
     /// The program this context runs.
-    pub program: Program,
+    pub(crate) program: Program,
     /// Predecoded metadata for every static instruction of `program`,
     /// parallel to its instruction indices (see [`InstMeta`]).
-    pub metas: Vec<InstMeta>,
+    pub(crate) metas: Vec<InstMeta>,
     /// Architectural registers + PC, updated in program order at dispatch.
-    pub arch: ArchState,
+    pub(crate) arch: ArchState,
     /// The thread's private data memory image.
-    pub memory: FlatMemory,
+    pub(crate) memory: FlatMemory,
     /// Speculative fetch pointer.
-    pub fetch_pc: InstIndex,
+    pub(crate) fetch_pc: InstIndex,
     /// Fetched-but-not-dispatched instructions.
-    pub fetch_queue: VecDeque<FetchedInst>,
+    pub(crate) fetch_queue: VecDeque<FetchedInst>,
     /// Instructions in flight (fetch queue + RUU, uncommitted) for ICOUNT.
-    pub icount: u32,
+    pub(crate) icount: u32,
     /// Fetch is stalled until this cycle (I-cache miss or redirect delay).
-    pub fetch_stall_until: u64,
+    pub(crate) fetch_stall_until: u64,
     /// If `Some(seq)`, fetch waits for that RUU entry (a mispredicted
     /// branch) to complete before resuming on the correct path.
-    pub redirect_wait: Option<u64>,
+    pub(crate) redirect_wait: Option<u64>,
     /// Dispatch is blocked until this cycle (squash-on-L2-miss policy).
-    pub dispatch_block_until: u64,
+    pub(crate) dispatch_block_until: u64,
     /// The PC of the next instruction dispatch expects, in program order.
-    pub next_dispatch_pc: InstIndex,
+    pub(crate) next_dispatch_pc: InstIndex,
     /// Set once a `halt` dispatches; the context fetches nothing further.
-    pub halted: bool,
+    pub(crate) halted: bool,
     /// Pipeline statistics.
-    pub stats: ThreadStats,
+    pub(crate) stats: ThreadStats,
 }
 
 impl ThreadContext {
     /// Creates a fresh context at the start of `program`.
     #[must_use]
-    pub fn new(id: ThreadId, program: Program) -> Self {
+    pub(crate) fn new(id: ThreadId, program: Program) -> Self {
         ThreadContext {
             id,
             metas: InstMeta::table(&program),
@@ -83,14 +83,14 @@ impl ThreadContext {
     }
 
     /// Discards the fetch queue (mispredict or halt), adjusting `icount`.
-    pub fn flush_fetch_queue(&mut self) {
+    pub(crate) fn flush_fetch_queue(&mut self) {
         self.icount -= self.fetch_queue.len() as u32;
         self.fetch_queue.clear();
     }
 
     /// Whether this context can accept fetched instructions this cycle.
     #[must_use]
-    pub fn can_fetch(&self, cycle: u64, queue_capacity: u32) -> bool {
+    pub(crate) fn can_fetch(&self, cycle: u64, queue_capacity: u32) -> bool {
         !self.halted
             && self.redirect_wait.is_none()
             && self.fetch_stall_until <= cycle

@@ -291,9 +291,10 @@ impl Simulator {
             .map_or(0, ThermalNetwork::substeps_taken)
     }
 
-    /// Routes issue through the retained reference scheduler instead of the
-    /// deferred-drain one. Differential-test hook only: both paths must
-    /// produce bit-identical statistics.
+    /// Routes issue through the core's select oracle (a plain walk over the
+    /// live window) instead of the ready bitmap, with idle skipping off.
+    /// Differential-test hook only: both paths must produce bit-identical
+    /// statistics.
     #[doc(hidden)]
     pub fn set_reference_issue(&mut self, on: bool) {
         self.cpu.set_reference_issue(on);

@@ -2,15 +2,17 @@
 //!
 //! **Bit identity of the default paths**, enforced end-to-end at a
 //! scaled-down configuration that still exercises warm-up, DTM sampling,
-//! sensor stepping and the thermal network: the optimized issue scheduler
-//! (deferred-drain ready stash) must produce statistics *bit-identical* to
-//! the retained reference scheduler (pop-then-re-push) on every bundled
-//! workload, solo and paired. The comparison goes through the full
-//! rendered `SimStats` JSON, so cycle counts, IPCs, access-rate EWMAs,
-//! sedation counts and peak temperatures all participate.
+//! sensor stepping and the thermal network: the default issue select (the
+//! ready bitmap over the window ring) together with idle-cycle skipping
+//! must produce statistics *bit-identical* to the select oracle (a plain
+//! walk over the live window in sequence order, with no skipping) on every
+//! bundled workload, solo and paired, and at the window's edges. The
+//! comparison goes through the full rendered `SimStats` JSON, so cycle
+//! counts, IPCs, access-rate EWMAs, sedation counts and peak temperatures
+//! all participate.
 
-use hs_sim::{HeatSink, PolicyKind, SimConfig, SimStats, Simulator};
-use hs_workloads::{Workload, SPEC_SUITE};
+use hs_sim::{ExecMode, HeatSink, PolicyKind, SimConfig, SimStats, Simulator};
+use hs_workloads::{SpecWorkload, Workload, SPEC_SUITE};
 
 /// Scaled-down config: same structure as the default campaign, ~250x less
 /// simulated work. Time scale 2000 compresses the thermal RC so DTM still
@@ -50,12 +52,14 @@ fn run_with(
     sim.try_run_quantum().expect("run")
 }
 
+/// Runs `workloads` through both select paths, asserts they agree bit for
+/// bit, and returns the default path's statistics.
 fn assert_bit_identical(
     cfg: &SimConfig,
     policy: PolicyKind,
     sink: HeatSink,
     workloads: &[Workload],
-) {
+) -> SimStats {
     let opt = run_with(cfg, policy, sink, workloads, false);
     let refr = run_with(cfg, policy, sink, workloads, true);
     let names: Vec<&str> = workloads.iter().map(|w| w.name()).collect();
@@ -72,6 +76,7 @@ fn assert_bit_identical(
     for (a, b) in opt.peak_temps.iter().zip(refr.peak_temps.iter()) {
         assert_eq!(a.to_bits(), b.to_bits(), "peak temperature bits diverged");
     }
+    opt
 }
 
 #[test]
@@ -127,5 +132,44 @@ fn optimized_issue_is_bit_identical_paired() {
             &[a, b],
         );
         assert_bit_identical(&cfg, PolicyKind::GlobalDvfs, HeatSink::Realistic, &[a, b]);
+    }
+}
+
+#[test]
+fn window_edges_match_the_oracle() {
+    // The attack pair's committed tombstones wait behind gcc's oldest
+    // entry, so the ring doubles past its first capacity, and the oldest
+    // ready entry sits anywhere in the ring, so the select walk wraps past
+    // the ring's last slot. A 64-entry RUU makes the first ring a single
+    // bitmap word, where the walk wraps within the word it started in.
+    let mut small = tiny_cfg();
+    small.cpu.ruu_size = 64;
+    small.cpu.ruu_per_thread_cap = 56;
+    let pair = [Workload::Spec(SpecWorkload::Gcc), Workload::Variant1];
+    for cfg in [tiny_cfg(), small] {
+        assert_bit_identical(
+            &cfg,
+            PolicyKind::SelectiveSedation,
+            HeatSink::Realistic,
+            &pair,
+        );
+        // Interval mode credits variant1's steady spans through
+        // `Cpu::fast_forward`: a squash while ready entries wait for the
+        // ALUs, followed by more ticks, where a stale ready bit would issue
+        // a squashed slot.
+        let interval = SimConfig {
+            exec: ExecMode::Interval,
+            ..cfg
+        };
+        let stats = assert_bit_identical(
+            &interval,
+            PolicyKind::None,
+            HeatSink::Ideal,
+            &[Workload::Variant1],
+        );
+        assert!(
+            stats.fast_forwarded_cycles > 0,
+            "no span was credited, so no squash was exercised"
+        );
     }
 }
